@@ -48,6 +48,7 @@ from .norms import (
     modulation_norm_triebel,
     standard_window,
     symbol_mixed_norm,
+    unit_standard_window,
 )
 from .families import (
     WindowSpec,
@@ -85,15 +86,12 @@ from .experiments import (
     fit_scaling,
     lieb_check,
     lieb_constant,
-    locop_lq_scan,
-    locop_region_scan,
     random_bandlimited,
     random_tf_localized,
     scan_locop,
     scan_locop_lq,
     scan_stft,
     schur_consistency_suite,
-    stft_region_scan,
     verification_suite,
 )
 

@@ -29,49 +29,40 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .experiments import (
-    INVERSE_LATTICE,
     DEFAULT_LQ_SETTINGS,
+    INVERSE_LATTICE,
     LocopScanSettings,
     StftScanSettings,
-    exponent_from_inverse,
+    default_lattice,
     scan_locop,
     scan_locop_lq,
     scan_stft,
     verification_suite,
 )
 from .families import (
+    SYMBOL_EVALUATORS,
     bump,
     chirp_family,
     gaussian_family,
     indicator,
     sharpness_symbol,
 )
-from .grid import as_exponent, make_grid, make_signal, phase_space_symbol, sample
+from .grid import as_exponent, make_grid, phase_space_symbol, sample
 from .locop import apply_locop
 from .norms import (
+    NORM_ARITY,
     NormSpec,
     amalgam_norm,
     evaluate_norm,
     lp_norm,
     standard_window,
+    unit_standard_window,
 )
 from .transforms import stft
 
-__version__ = "0.1.0"
-
 COMMANDS = ("verify", "scan-stft", "scan-locop", "scan-locop-lq", "norm", "stft", "locop")
-
-NORM_KINDS = (
-    "lp",
-    "amalgam",
-    "mixed-lpq",
-    "mixed-lplq",
-    "flp",
-    "modulation",
-    "modulation-triebel",
-    "symbol-mixed",
-)
 
 
 class ConfigError(ValueError):
@@ -175,10 +166,10 @@ def build_config(argv) -> RunConfig:
     ap.add_argument("--lambdas", help="sweep values, e.g. '4 8 16 32'")
     ap.add_argument("--lattice", help="reciprocal lattice values, e.g. '0 0.5 1'")
     ap.add_argument("--margin", type=float)
-    ap.add_argument("--kind", choices=NORM_KINDS)
+    ap.add_argument("--kind", choices=[k.replace("_", "-") for k in NORM_ARITY])
     ap.add_argument("--family", choices=("gaussian", "chirp", "bump", "indicator"))
     ap.add_argument("--window", choices=("gaussian", "gaussian-unit", "bump"))
-    ap.add_argument("--symbol", choices=("unit", "gaussian", "cube", "sharpness"))
+    ap.add_argument("--symbol", choices=(*SYMBOL_EVALUATORS, "sharpness"))
     ap.add_argument("--lam", type=float)
     ap.add_argument("--p")
     ap.add_argument("--q")
@@ -282,26 +273,25 @@ def _family_window(cfg: RunConfig):
     raise ConfigError(f"unknown family {cfg.family!r}")
 
 
+def _inputs(cfg: RunConfig):
+    """The grid of the run and the family member sampled on it."""
+    grid = make_grid(cfg.grid_l, cfg.grid_m)
+    return grid, sample(_family_window(cfg), grid)
+
+
 def _analysis_window(cfg: RunConfig, grid):
     if cfg.window == "gaussian":
         return standard_window(grid)
     if cfg.window == "gaussian-unit":
-        w = standard_window(grid)
-        return make_signal(grid, w.samples / lp_norm(w, 2))
+        return unit_standard_window(grid)
     if cfg.window == "bump":
         return sample(bump(0.0, 1.0), grid)
     raise ConfigError(f"unknown window {cfg.window!r}")
 
 
 def _symbol(cfg: RunConfig, grid):
-    if cfg.symbol == "unit":
-        return phase_space_symbol(grid, lambda x, w: np.ones(np.broadcast_shapes(x.shape, w.shape)))
-    if cfg.symbol == "gaussian":
-        return phase_space_symbol(grid, lambda x, w: np.exp(-np.pi * (x**2 + w**2)))
-    if cfg.symbol == "cube":
-        return phase_space_symbol(
-            grid, lambda x, w: ((x >= 0) & (x < 1) & (w >= 0) & (w < 1)).astype(float)
-        )
+    if cfg.symbol in SYMBOL_EVALUATORS:
+        return phase_space_symbol(grid, SYMBOL_EVALUATORS[cfg.symbol])
     if cfg.symbol == "sharpness":
         return sharpness_symbol(bump(0.0, 1.0), cfg.lam, grid)
     raise ConfigError(f"unknown symbol {cfg.symbol!r}")
@@ -341,10 +331,7 @@ def _scan_settings(cfg: RunConfig, which: str):
 
 
 def _run_scan(cfg: RunConfig) -> RunResult:
-    inv = cfg.lattice if cfg.lattice is not None else INVERSE_LATTICE
-    pairs = [
-        (exponent_from_inverse(a), exponent_from_inverse(b)) for a in inv for b in inv
-    ]
+    pairs = default_lattice(cfg.lattice if cfg.lattice is not None else INVERSE_LATTICE)
     if cfg.command == "scan-stft":
         # pairs are (p, q); lattice iterates (1/p, 1/q)
         verdicts = scan_stft(pairs, _scan_settings(cfg, "stft"))
@@ -420,41 +407,26 @@ def _run_scan(cfg: RunConfig) -> RunResult:
 
 
 def _run_norm(cfg: RunConfig) -> RunResult:
-    grid = make_grid(cfg.grid_l, cfg.grid_m)
-    f = sample(_family_window(cfg), grid)
+    grid, f = _inputs(cfg)
+    kind = cfg.kind.replace("-", "_")
+    if kind not in NORM_ARITY:
+        raise ConfigError(f"unknown norm kind {cfg.kind!r}")
     p = _exponent(cfg.p, "p")
     q = _exponent(cfg.q, "q")
-    kind = cfg.kind
-    one_exponent = {"lp": "lp", "flp": "flp"}
-    two_exponents = {
-        "amalgam": "amalgam",
-        "modulation": "modulation_stft",
-        "modulation-triebel": "modulation_triebel",
-        "mixed-lpq": "mixed_lpq",
-        "mixed-lplq": "mixed_lplq",
-    }
-    try:
-        if kind in one_exponent:
-            spec = NormSpec(one_exponent[kind], (p,))
-            target = f
-        elif kind in two_exponents:
-            spec = NormSpec(two_exponents[kind], (p, q))
-            # mixed norms live on phase space; evaluate them on the STFT of f
-            target = stft(f, standard_window(grid)) if kind.startswith("mixed") else f
-        elif kind == "symbol-mixed":
-            spec = NormSpec(
-                "symbol_mixed", (p, q, _exponent(cfg.r, "r"), _exponent(cfg.s, "s"))
-            )
-            target = _symbol(cfg, grid)
-        else:
-            raise ConfigError(f"unknown norm kind {kind!r}")
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    rs = (_exponent(cfg.r, "r"), _exponent(cfg.s, "s")) if NORM_ARITY[kind] > 2 else ()
+    spec = NormSpec(kind, (p, q, *rs)[: NORM_ARITY[kind]])
+    if kind == "symbol_mixed":
+        target = _symbol(cfg, grid)
+    elif kind.startswith("mixed"):
+        # mixed norms live on phase space; evaluate them on the STFT of f
+        target = stft(f, standard_window(grid))
+    else:
+        target = f
     value = evaluate_norm(spec, target)
     columns = ["kind", "family", "lam", "p", "q", "value"]
     records = [
         {
-            "kind": kind,
+            "kind": cfg.kind,
             "family": cfg.family,
             "lam": cfg.lam,
             "p": str(p),
@@ -466,8 +438,7 @@ def _run_norm(cfg: RunConfig) -> RunResult:
 
 
 def _run_stft(cfg: RunConfig) -> RunResult:
-    grid = make_grid(cfg.grid_l, cfg.grid_m)
-    f = sample(_family_window(cfg), grid)
+    grid, f = _inputs(cfg)
     window = _analysis_window(cfg, grid)
     v = stft(f, window)
     ortho = lp_norm(v, 2) / (lp_norm(f, 2) * lp_norm(window, 2))
@@ -485,8 +456,7 @@ def _run_stft(cfg: RunConfig) -> RunResult:
 
 
 def _run_locop(cfg: RunConfig) -> RunResult:
-    grid = make_grid(cfg.grid_l, cfg.grid_m)
-    f = sample(_family_window(cfg), grid)
+    grid, f = _inputs(cfg)
     window = _analysis_window(cfg, grid)
     a = _symbol(cfg, grid)
     out = apply_locop(a, window, window, f)
@@ -523,7 +493,10 @@ def run(cfg: RunConfig) -> int:
     """Execute one command; write artifacts; return the exit code."""
     if cfg.command not in _RUNNERS:
         raise ConfigError(f"unknown command {cfg.command!r}")
-    result = _RUNNERS[cfg.command](cfg)
+    try:
+        result = _RUNNERS[cfg.command](cfg)
+    except ValueError as exc:  # a domain error in the configured values
+        raise ConfigError(str(exc)) from exc
     records = [_clean_record(r) for r in result.records]
 
     out_dir = Path(cfg.out)

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .families import (
+    SYMBOL_EVALUATORS,
     bump,
     chirp_family,
     gaussian_family,
@@ -42,9 +43,10 @@ from .locop import (
     kernel_action,
     opnorm_l2,
     schur_report,
+    weak_pairing,
 )
-from .norms import amalgam_norm, lp_norm, standard_window
-from .transforms import inverse_fourier, stft
+from .norms import amalgam_norm, flp_norm, lp_norm, standard_window, unit_standard_window
+from .transforms import fourier, gaussian_stft_symbol, inverse_fourier, stft, synthesis
 
 _REGION_TOL = 1e-12
 
@@ -58,13 +60,10 @@ def exponent_from_inverse(inv: float) -> ExtendedExponent:
     return ExtendedExponent(math.inf if inv == 0.0 else 1.0 / inv)
 
 
-def default_lattice() -> list[tuple[ExtendedExponent, ExtendedExponent]]:
-    """The 5x5 grid of exponent pairs with reciprocals in {0, 1/4, 1/2, 3/4, 1}."""
-    return [
-        (exponent_from_inverse(a), exponent_from_inverse(b))
-        for a in INVERSE_LATTICE
-        for b in INVERSE_LATTICE
-    ]
+def default_lattice(inverse=INVERSE_LATTICE) -> list[tuple[ExtendedExponent, ExtendedExponent]]:
+    """All exponent pairs whose reciprocals lie in ``inverse`` (default: the 5x5 grid
+    with reciprocals in {0, 1/4, 1/2, 3/4, 1})."""
+    return [(exponent_from_inverse(a), exponent_from_inverse(b)) for a in inverse for b in inverse]
 
 
 # ---------------------------------------------------------------------------
@@ -312,10 +311,6 @@ def scan_stft(points, settings: StftScanSettings | None = None) -> list[RegionVe
     return verdicts
 
 
-def stft_region_scan(p, q, settings: StftScanSettings | None = None) -> RegionVerdict:
-    return scan_stft([(p, q)], settings)[0]
-
-
 @dataclass(frozen=True)
 class LocopScanSettings:
     """Grid, windows, and sweep for the localization-operator sharpness scan.
@@ -420,10 +415,6 @@ def scan_locop(points, settings: LocopScanSettings | None = None) -> list[Region
     return _scan_locop_impl(points, settings or LocopScanSettings())
 
 
-def locop_region_scan(q, r, settings: LocopScanSettings | None = None) -> RegionVerdict:
-    return scan_locop([(q, r)], settings)[0]
-
-
 DEFAULT_LQ_SETTINGS = LocopScanSettings(
     lambdas=(4.0, 8.0, 16.0, 32.0),
     grid=make_grid(8, 256),
@@ -437,10 +428,6 @@ def scan_locop_lq(points, settings: LocopScanSettings | None = None) -> list[Reg
     if settings.symbol_p is not None:
         raise ValueError("the L^q scan fixes the symbol norm to W(L^q, L^q) = L^q")
     return _scan_locop_impl(points, settings)
-
-
-def locop_lq_scan(q, r, settings: LocopScanSettings | None = None) -> RegionVerdict:
-    return scan_locop_lq([(q, r)], settings)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -481,11 +468,9 @@ _SUITE_EXPONENT_PAIRS = ((1, 1), (2, 2), ("inf", "inf"), (1, "inf"), ("inf", 1),
 
 def _suite_cases(grid: Grid1D):
     phi = standard_window(grid)
-    phi_unit = make_signal(grid, phi.samples / lp_norm(phi, 2))
-    ones = phase_space_symbol(grid, lambda x, w: np.ones(np.broadcast_shapes(x.shape, w.shape)))
-    gauss = phase_space_symbol(grid, lambda x, w: np.exp(-np.pi * (x**2 + w**2)))
-    cube = phase_space_symbol(
-        grid, lambda x, w: ((x >= 0) & (x < 1) & (w >= 0) & (w < 1)).astype(float)
+    phi_unit = unit_standard_window(grid)
+    ones, gauss, cube = (
+        phase_space_symbol(grid, SYMBOL_EVALUATORS[name]) for name in ("unit", "gaussian", "cube")
     )
     bump_window = sample(bump(0.0, 1.0), grid)
     lam_small = min(4.0, max_alias_free_lambda(grid, 1.0))
@@ -572,13 +557,10 @@ def _record(name, measured, expected, tolerance, mode="abs") -> CheckRecord:
 
 def verification_suite(seed: int = 0) -> list[CheckRecord]:
     """Deterministic battery over the transform, norm, and operator invariants."""
-    from .norms import flp_norm
-    from .transforms import fourier, gaussian_stft_symbol, synthesis
-
     rng = np.random.default_rng(seed)
     grid = make_grid(16, 16)
     phi = standard_window(grid)
-    phi_unit = make_signal(grid, phi.samples / lp_norm(phi, 2))
+    phi_unit = unit_standard_window(grid)
     f = random_tf_localized(grid, 4.0, rng)
     g = random_tf_localized(grid, 4.0, rng)
     records = []
@@ -648,7 +630,7 @@ def verification_suite(seed: int = 0) -> list[CheckRecord]:
             mode="le",
         )
     )
-    ones = phase_space_symbol(grid, lambda x, w: np.ones(np.broadcast_shapes(x.shape, w.shape)))
+    ones = phase_space_symbol(grid, SYMBOL_EVALUATORS["unit"])
     out = apply_locop(ones, phi_unit, phi_unit, f)
     records.append(
         _record(
@@ -658,7 +640,7 @@ def verification_suite(seed: int = 0) -> list[CheckRecord]:
             1e-6,
         )
     )
-    a_gauss = phase_space_symbol(grid, lambda x, w: np.exp(-np.pi * (x**2 + w**2)))
+    a_gauss = phase_space_symbol(grid, SYMBOL_EVALUATORS["gaussian"])
     K = build_kernel(a_gauss, phi, phi)
     records.append(
         _record(
@@ -673,8 +655,6 @@ def verification_suite(seed: int = 0) -> list[CheckRecord]:
             1e-8,
         )
     )
-    from .locop import weak_pairing
-
     lhs = inner_product(apply_locop(a_gauss, phi, phi, f), g)
     rhs = weak_pairing(a_gauss, phi, phi, f, g)
     records.append(

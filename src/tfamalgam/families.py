@@ -32,6 +32,7 @@ __all__ = [
     "indicator",
     "custom_window",
     "sharpness_symbol",
+    "SYMBOL_EVALUATORS",
     "max_alias_free_lambda",
     "predicted_exponent",
 ]
@@ -144,6 +145,14 @@ def indicator(left: float, right: float) -> WindowSpec:
 def custom_window(evaluator, label: str = "custom", **flags) -> WindowSpec:
     """Wrap an arbitrary pointwise evaluator as a WindowSpec."""
     return WindowSpec(kind="custom", evaluator=evaluator, label=label, **flags)
+
+
+#: pointwise evaluators a(x, w) of the fixed phase-space symbols, by name
+SYMBOL_EVALUATORS = {
+    "unit": lambda x, w: np.ones(np.broadcast_shapes(x.shape, w.shape)),
+    "gaussian": lambda x, w: np.exp(-np.pi * (x**2 + w**2)),
+    "cube": lambda x, w: ((x >= 0) & (x < 1) & (w >= 0) & (w < 1)).astype(float),
+}
 
 
 def sharpness_symbol(profile: WindowSpec, lam: float, grid: Grid1D, enforce_guard: bool = True) -> SampledSymbol:

@@ -28,12 +28,13 @@ from .grid import (
     make_symbol,
 )
 from .norms import lp_norm
-from .transforms import dft_centered, stft, synthesis
+from .transforms import StftPlan, _shifted_windows, dft_centered, stft, synthesis
 
 _POWER_ITER_CAP = 5000
 
 
-def _check_operator_shapes(a: SampledSymbol, phi1: SampledSignal, phi2: SampledSignal):
+def _check_operator_shapes(a: SampledSymbol, phi1: SampledSignal, phi2: SampledSignal) -> StftPlan:
+    """Validate the operator data; return the STFT layout of the symbol's time axis."""
     if phi1.grid != phi2.grid:
         raise ValueError("both windows must live on the same grid")
     grid = phi1.grid
@@ -41,7 +42,7 @@ def _check_operator_shapes(a: SampledSymbol, phi1: SampledSignal, phi2: SampledS
         raise ValueError("symbol frequency lattice does not match the window grid")
     if a.x_grid.L != grid.L or grid.m % a.x_grid.m:
         raise ValueError("symbol time axis is not a sublattice of the window grid")
-    return grid
+    return StftPlan(grid, grid.m // a.x_grid.m)
 
 
 def apply_locop(
@@ -51,13 +52,9 @@ def apply_locop(
     f: SampledSignal,
 ) -> SampledSignal:
     """Apply the localization operator with symbol ``a`` and windows (phi1, phi2)."""
-    grid = _check_operator_shapes(a, phi1, phi2)
-    if f.grid != grid:
+    plan = _check_operator_shapes(a, phi1, phi2)
+    if f.grid != plan.grid:
         raise ValueError("input signal grid does not match the windows")
-    stride = grid.m // a.x_grid.m
-    from .transforms import StftPlan
-
-    plan = StftPlan(grid, stride) if stride > 1 else None
     V = stft(f, phi1, plan)
     weighted = make_symbol(a.x_grid, a.w_grid, a.samples * V.samples)
     return synthesis(weighted, phi2)
@@ -74,13 +71,9 @@ def weak_pairing(
 
     Equals <A f, g> exactly (same sum re-associated).
     """
-    grid = _check_operator_shapes(a, phi1, phi2)
-    if f.grid != grid or g.grid != grid:
+    plan = _check_operator_shapes(a, phi1, phi2)
+    if f.grid != plan.grid or g.grid != plan.grid:
         raise ValueError("signal grids do not match the windows")
-    stride = grid.m // a.x_grid.m
-    from .transforms import StftPlan
-
-    plan = StftPlan(grid, stride) if stride > 1 else None
     v1 = stft(f, phi1, plan).samples
     v2 = stft(g, phi2, plan).samples
     return complex(a.cell * np.sum(a.samples * v1 * np.conj(v2)))
@@ -114,30 +107,27 @@ def build_kernel(a: SampledSymbol, phi1: SampledSignal, phi2: SampledSignal) -> 
     one pass over time positions, at O(N^3) total cost; the result matches
     the direct double sum to round-off.
     """
-    grid = _check_operator_shapes(a, phi1, phi2)
+    plan = _check_operator_shapes(a, phi1, phi2)
+    grid, stride = plan.grid, plan.x_stride
     n = grid.N
-    stride = grid.m // a.x_grid.m
     # FT of a in its second variable, landing on the signal lattice
     a2 = dft_centered(a.samples, a.w_grid.m)
     idx = np.arange(n)
     diff = (idx[None, :] - idx[:, None] + n // 2) % n  # value index of y - x
     K = np.zeros((n, n), dtype=np.complex128)
-    p1c = np.conj(phi1.samples)
-    p2 = phi2.samples
+    w2 = _shifted_windows(phi2.samples, stride)
+    w1c = _shifted_windows(np.conj(phi1.samples), stride)
     for j in range(a.x_grid.N):
-        shift = j * stride - n // 2
-        w2 = np.roll(p2, shift)
-        w1c = np.roll(p1c, shift)
-        K += a2[j, diff] * (w2[:, None] * w1c[None, :])
+        K += a2[j, diff] * (w2[j][:, None] * w1c[j][None, :])
     K *= a.x_grid.h
     return KernelMatrix(grid, K, provenance=f"stride={stride}")
 
 
 def build_kernel_direct(a: SampledSymbol, phi1: SampledSignal, phi2: SampledSignal) -> KernelMatrix:
     """Reference kernel via the literal double phase-space sum (small grids only)."""
-    grid = _check_operator_shapes(a, phi1, phi2)
+    plan = _check_operator_shapes(a, phi1, phi2)
+    grid, stride = plan.grid, plan.x_stride
     n = grid.N
-    stride = grid.m // a.x_grid.m
     cell = a.cell
     omegas = a.w_grid.points
     x = grid.points
@@ -187,11 +177,17 @@ def schur_report(K: KernelMatrix) -> SchurReport:
 
 
 def opnorm_l2(K: KernelMatrix, tol: float = 1e-8, max_iter: int = _POWER_ITER_CAP) -> float:
-    """Largest singular value of the scaled matrix h*K by deterministic power iteration."""
+    """Largest singular value of the scaled matrix h*K by power iteration.
+
+    The start vector is seeded random rather than structured: a symmetric
+    start such as all-ones is orthogonal to every odd singular vector, and
+    the iteration then settles on a smaller singular value.
+    """
     M = K.grid.h * K.entries
     B = M.conj().T @ M
     n = B.shape[0]
-    v = np.ones(n) / np.sqrt(n)
+    v = np.random.default_rng(0).standard_normal(n)
+    v /= np.linalg.norm(v)
     prev = np.inf
     for iteration in range(1, max_iter + 1):
         w = B @ v

@@ -21,7 +21,8 @@ from .grid import (
     as_exponent,
     make_signal,
 )
-from .transforms import fourier, inverse_fourier, stft
+from .families import bump
+from .transforms import fourier, idft_centered, inverse_fourier, stft
 
 #: norm kind -> number of exponents it takes
 NORM_ARITY = {
@@ -159,19 +160,18 @@ def standard_window(grid: Grid1D) -> SampledSignal:
     return make_signal(grid, np.exp(-np.pi * grid.points**2))
 
 
+def unit_standard_window(grid: Grid1D) -> SampledSignal:
+    """The standard window scaled to unit L^2 norm on ``grid``."""
+    w = standard_window(grid)
+    return make_signal(grid, w.samples / lp_norm(w, 2))
+
+
 def modulation_norm(f: SampledSignal, p, q) -> float:
     """STFT modulation norm ||V_phi f||_{L^{p,q}} with the fixed Gaussian window."""
     return mixed_lpq(stft(f, standard_window(f.grid)), p, q)
 
 
-def _bump_profile(u: np.ndarray) -> np.ndarray:
-    """C^inf bump e^{1 - 1/(1-u^2)} on (-1, 1), zero outside, value 1 at 0."""
-    u = np.asarray(u, dtype=float)
-    out = np.zeros_like(u)
-    inside = np.abs(u) < 1.0
-    ui = u[inside]
-    out[inside] = np.exp(1.0 - 1.0 / (1.0 - ui * ui))
-    return out
+_unit_bump = bump(0.0, 1.0).evaluator  # e^{1 - 1/(1-u^2)} on (-1, 1), zero outside
 
 
 def partition_window(omega, k: int = 0) -> np.ndarray:
@@ -183,8 +183,8 @@ def partition_window(omega, k: int = 0) -> np.ndarray:
     base = np.floor(omega)
     denom = np.zeros_like(omega)
     for off in (-1.0, 0.0, 1.0):
-        denom += _bump_profile(omega - (base + off))
-    return _bump_profile(omega) / denom
+        denom += _unit_bump(omega - (base + off))
+    return _unit_bump(omega) / denom
 
 
 def modulation_norm_triebel(f: SampledSignal, p, q) -> float:
@@ -216,8 +216,6 @@ def symbol_mixed_norm(a: SampledSymbol, p1, q1, p2, q2) -> float:
     of the resulting profile in x.
     """
     p1, q1, p2, q2 = (as_exponent(e) for e in (p1, q1, p2, q2))
-    from .transforms import idft_centered
-
     rows_time = idft_centered(a.samples, a.w_grid.m)  # rows now live on dual(w_grid)
     row_grid = a.w_grid.dual
     profile = _amalgam_1d(np.abs(rows_time), row_grid, p2, q2)

@@ -39,18 +39,30 @@ def _center_sign(n: int) -> float:
     return -1.0 if (n // 2) % 2 else 1.0
 
 
+def _centered_fft(x: np.ndarray, scale: float, transform) -> np.ndarray:
+    """In place along the last axis: x <- scale * s * transform(s * x), s = (-1)^j.
+
+    Working in place keeps block-sized temporaries out of the transform loops.
+    """
+    s = _alternating(x.shape[-1])
+    x *= s
+    transform(x, axis=-1, out=x)
+    x *= s
+    x *= scale
+    return x
+
+
 def dft_centered(values: np.ndarray, density: int) -> np.ndarray:
     """Centered DFT along the last axis with quadrature weight 1/density."""
     n = values.shape[-1]
-    s = _alternating(n)
-    return (_center_sign(n) / density) * (s * np.fft.fft(values * s, axis=-1))
+    return _centered_fft(np.array(values, dtype=np.complex128), _center_sign(n) / density, np.fft.fft)
 
 
 def idft_centered(values: np.ndarray, density: int) -> np.ndarray:
     """Inverse of dft_centered: weight 1/density sum with e^{+2 pi i w t}."""
     n = values.shape[-1]
-    s = _alternating(n)
-    return (_center_sign(n) * n / density) * (s * np.fft.ifft(values * s, axis=-1))
+    scale = _center_sign(n) * n / density
+    return _centered_fft(np.array(values, dtype=np.complex128), scale, np.fft.ifft)
 
 
 def fourier(f: SampledSignal) -> SampledSignal:
@@ -85,6 +97,18 @@ class StftPlan:
         return (self.grid.N // self.x_stride, self.grid.N)
 
 
+def _shifted_windows(g: np.ndarray, stride: int) -> np.ndarray:
+    """Read-only table of the shifted windows T_x g, one row per retained x.
+
+    Row r is ``g[(t - (r*stride - n//2)) % n]``: the window translated to the
+    r-th time position of the stride-``stride`` sublattice.  The table is a
+    view of three copies of ``g``, so no row is materialised until it is read.
+    """
+    n = g.shape[-1]
+    table = np.lib.stride_tricks.sliding_window_view(np.tile(g, 3), n)
+    return table[n + n // 2 :: -stride][: n // stride]
+
+
 def stft(f: SampledSignal, g: SampledSignal, plan: StftPlan | None = None) -> SampledSymbol:
     """Short-time Fourier transform V_g f on the phase-space lattice.
 
@@ -101,14 +125,13 @@ def stft(f: SampledSignal, g: SampledSignal, plan: StftPlan | None = None) -> Sa
     nx = n // stride
     out = np.empty((nx, n), dtype=np.complex128)
     fs = f.samples
-    gc = np.conj(g.samples)
-    t_idx = np.arange(n)
+    windows = _shifted_windows(np.conj(g.samples), stride)
     block = max(1, _CHUNK_ELEMENTS // n)
+    scale = _center_sign(n) / grid.m
     for start in range(0, nx, block):
-        rows = np.arange(start, min(start + block, nx))
-        shifts = rows * stride - n // 2
-        windows = gc[(t_idx[None, :] - shifts[:, None]) % n]
-        out[rows] = dft_centered(fs[None, :] * windows, grid.m)
+        rows = out[start : start + block]
+        np.multiply(fs, windows[start : start + block], out=rows)
+        _centered_fft(rows, scale, np.fft.fft)
     return make_symbol(Grid1D(grid.L, grid.m // stride), grid.dual, out)
 
 
@@ -128,14 +151,12 @@ def synthesis(F: SampledSymbol, g: SampledSignal) -> SampledSignal:
     rows_total = F.samples.shape[0]
     profiles = idft_centered(F.samples, F.w_grid.m)
     out = np.zeros(n, dtype=np.complex128)
-    gs = g.samples
-    t_idx = np.arange(n)
+    windows = _shifted_windows(g.samples, stride)
     block = max(1, _CHUNK_ELEMENTS // n)
     for start in range(0, rows_total, block):
-        rows = np.arange(start, min(start + block, rows_total))
-        shifts = rows * stride - n // 2
-        windows = gs[(t_idx[None, :] - shifts[:, None]) % n]
-        out += (profiles[rows] * windows).sum(axis=0)
+        rows = profiles[start : start + block]
+        rows *= windows[start : start + block]
+        out += rows.sum(axis=0)
     return make_signal(grid, F.x_grid.h * out)
 
 

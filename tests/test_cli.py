@@ -44,6 +44,20 @@ def test_bad_lambdas_exits_2(tmp_path):
     assert _run(["scan-locop", "--lambdas", "8 4", "--out", str(tmp_path / "x")]) == 2
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["norm", "--lam", "-1"],
+        ["norm", "--grid-l", "3"],
+        ["norm", "--kind", "flp", "--grid-m", "3"],
+        ["locop", "--symbol", "sharpness", "--lam", "1000"],
+    ],
+)
+def test_domain_error_exits_2(tmp_path, capsys, args):
+    assert _run(args + ["--out", str(tmp_path / "d")]) == 2
+    assert "config error:" in capsys.readouterr().err
+
+
 def test_norm_command_value(tmp_path):
     out = tmp_path / "n"
     code = _run(

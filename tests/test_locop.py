@@ -239,6 +239,18 @@ def test_opnorm_schur_dominance(grid128, unit_window, gauss_symbol):
         assert opnorm_l2(K) <= np.sqrt(rep.c_sup_y * rep.c_sup_x) * (1 + 1e-6)
 
 
+def test_opnorm_odd_top_singular_vector(grid128):
+    # rank two: singular value 1 on an even vector, 3 on an odd one; a
+    # symmetric start vector never sees the odd direction
+    t = grid128.points
+    even = np.exp(-np.pi * t**2)
+    odd = np.where(t == t[0], 0.0, t) * np.exp(-np.pi * t**2)
+    even, odd = even / np.linalg.norm(even), odd / np.linalg.norm(odd)
+    h = grid128.h
+    K = KernelMatrix(grid128, (np.outer(even, even) + 3.0 * np.outer(odd, odd)) / h, "rank-two")
+    assert opnorm_l2(K) == pytest.approx(np.linalg.norm(h * K.entries, 2), rel=1e-6)
+
+
 def test_opnorm_zero(grid128):
     K = KernelMatrix(grid128, np.zeros((grid128.N, grid128.N)), "zero")
     assert opnorm_l2(K) == 0.0

@@ -18,7 +18,7 @@ from tfamalgam import (
 )
 from tfamalgam.families import bump, chirp_family, gaussian_family
 from tfamalgam.norms import lp_norm
-from tfamalgam.transforms import dft_centered
+from tfamalgam.transforms import _CHUNK_ELEMENTS, dft_centered
 
 
 def _rand_signal(grid, seed=0):
@@ -264,3 +264,31 @@ def test_domination_near_orthogonal(grid16, phi):
     odd = make_signal(grid16, grid16.points * np.exp(-np.pi * grid16.points**2))
     with pytest.raises(ValueError):
         window_domination_check(phi, phi, phi, odd)
+
+
+@pytest.mark.parametrize("stride", [1, 4])
+def test_stft_and_synthesis_match_literal_gather_over_chunks(stride):
+    # at stride 1, N = 2048 runs the row loop over two blocks of _CHUNK_ELEMENTS;
+    # the reference gathers every window by index and transforms out of place
+    grid = make_grid(16, 128)
+    n = grid.N
+    f = _rand_signal(grid, seed=3)
+    g = make_signal(grid, np.exp(-np.pi * grid.points**2) * (1 + 0.5j * np.sin(grid.points)))
+    V = stft(f, g, StftPlan(grid, stride))
+    t = np.arange(n)
+    s = np.where(t % 2, -1.0, 1.0)
+    sign = -1.0 if (n // 2) % 2 else 1.0
+    block = _CHUNK_ELEMENTS // n
+    want_v = np.empty_like(V.samples)
+    profiles = (sign * n / V.w_grid.m) * (s * np.fft.ifft(V.samples * s, axis=-1))
+    want_s = np.zeros(n, dtype=np.complex128)
+    for start in range(0, n // stride, block):
+        shifts = np.arange(start, min(start + block, n // stride)) * stride - n // 2
+        idx = (t[None, :] - shifts[:, None]) % n
+        # named so that numpy keeps the operand order (it may swap it to reuse a temporary)
+        conj_windows, windows = np.conj(g.samples)[idx], g.samples[idx]
+        product = f.samples * conj_windows
+        want_v[start : start + block] = (sign / grid.m) * (s * np.fft.fft(product * s, axis=-1))
+        want_s += (profiles[start : start + block] * windows).sum(axis=0)
+    assert np.array_equal(V.samples, want_v)
+    assert np.array_equal(synthesis(V, g).samples, V.x_grid.h * want_s)
