@@ -411,10 +411,10 @@ def _run_norm(cfg: RunConfig) -> RunResult:
     kind = cfg.kind.replace("-", "_")
     if kind not in NORM_ARITY:
         raise ConfigError(f"unknown norm kind {cfg.kind!r}")
-    p = _exponent(cfg.p, "p")
-    q = _exponent(cfg.q, "q")
-    rs = (_exponent(cfg.r, "r"), _exponent(cfg.s, "s")) if NORM_ARITY[kind] > 2 else ()
-    spec = NormSpec(kind, (p, q, *rs)[: NORM_ARITY[kind]])
+    # every exponent flag must parse; the kind uses the first NORM_ARITY[kind]
+    parsed = {name: _exponent(getattr(cfg, name), name) for name in ("p", "q", "r", "s")}
+    names = tuple(parsed)[: NORM_ARITY[kind]]
+    spec = NormSpec(kind, tuple(parsed[name] for name in names))
     if kind == "symbol_mixed":
         target = _symbol(cfg, grid)
     elif kind.startswith("mixed"):
@@ -423,17 +423,9 @@ def _run_norm(cfg: RunConfig) -> RunResult:
     else:
         target = f
     value = evaluate_norm(spec, target)
-    columns = ["kind", "family", "lam", "p", "q", "value"]
-    records = [
-        {
-            "kind": cfg.kind,
-            "family": cfg.family,
-            "lam": cfg.lam,
-            "p": str(p),
-            "q": str(q),
-            "value": value,
-        }
-    ]
+    exponents = {name: str(parsed[name]) for name in names}
+    columns = ["kind", "family", "lam", *names, "value"]
+    records = [{"kind": cfg.kind, "family": cfg.family, "lam": cfg.lam, **exponents, "value": value}]
     return RunResult(columns, records, [])
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import (
+    INFINITY,
     ExtendedExponent,
     Grid1D,
     SampledSignal,
@@ -81,21 +82,127 @@ def evaluate_norm(spec: NormSpec, f) -> float:
     return symbol_mixed_norm(f, e[0], e[1], e[2], e[3])
 
 
-def _power_mean(abs_values: np.ndarray, weight: float, p: ExtendedExponent, axis) -> np.ndarray:
+#: elements per row block of a cube-table pass, so the block temporaries stay in cache
+_BLOCK = 1 << 16
+
+# below this a sum of p-th powers has lost digits to underflow
+_TINY_OVER_EPS = np.finfo(float).tiny / np.finfo(float).eps
+
+_SUP = ExtendedExponent(INFINITY)
+
+
+def _scaled_root(reduce, weight: float, p: ExtendedExponent) -> np.ndarray:
+    """(weight * sum |x|^p)^(1/p) per output (max |x| for p = inf).
+
+    ``reduce(e, scale)`` gives, per output, the sum of (|x| / scale)^e (the
+    max of |x| for e = inf); ``scale`` is None or holds one value per output.
+    The plain sums run first; if any overflows, or the largest one underflows,
+    they are recomputed on |x| divided by its max per output (Blue's scaling,
+    as in LAPACK dnrm2), so the result stays finite and homogeneous far
+    beyond the amplitudes where |x|^p leaves the float range.
+    """
     if p.is_inf:
-        return abs_values.max(axis=axis)
+        return reduce(p, None)
     if p.value == 1.0:
-        return weight * abs_values.sum(axis=axis)
-    return (weight * (abs_values**p.value).sum(axis=axis)) ** (1.0 / p.value)
+        return weight * reduce(p, None)
+    with np.errstate(over="ignore", under="ignore"):
+        sums = weight * reduce(p, None)
+        top = sums.max() if sums.ndim else sums
+        if _TINY_OVER_EPS <= top < INFINITY:
+            return sums ** (1.0 / p.value)
+        scale = reduce(_SUP, None)
+        scale = np.where((scale > 0.0) & (scale < INFINITY), scale, 1.0)
+        return (weight * reduce(p, scale)) ** (1.0 / p.value) * scale
+
+
+def _power_mean(abs_values: np.ndarray, weight: float, p: ExtendedExponent, axis) -> np.ndarray:
+    """(weight * sum |x|^p)^(1/p) along ``axis`` (max for p = inf), scaled as ``_scaled_root``."""
+
+    def reduce(e, scale):
+        a = abs_values
+        if scale is not None:
+            a = a / (scale if axis is None else np.expand_dims(scale, axis))
+        if e.is_inf:
+            return a.max(axis=axis)
+        return (a if e.value == 1.0 else a**e.value).sum(axis=axis)
+
+    return _scaled_root(reduce, weight, p)
 
 
 def _sequence_norm(values: np.ndarray, q: ExtendedExponent, axis=None) -> np.ndarray:
-    # counting measure over cube indices
-    if q.is_inf:
-        return values.max(axis=axis)
-    if q.value == 1.0:
-        return values.sum(axis=axis)
-    return (values**q.value).sum(axis=axis) ** (1.0 / q.value)
+    # l^q with the counting measure over cube indices
+    return _power_mean(values, 1.0, q, axis)
+
+
+def _tile_reduce(tiles: np.ndarray, p: ExtendedExponent, scale=None) -> np.ndarray:
+    """Sum of |x|^p (max of |x| for p = inf) over each cube of a 4-D cube view.
+
+    ``tiles`` is (time cube, row in cube, frequency cube, column in cube);
+    ``scale``, one value per cube, divides |x| first.  A view of at most
+    ``_BLOCK`` elements is reduced in one go; a larger one in blocks of at
+    most ``_BLOCK`` elements that never straddle a row of cubes (whole rows of
+    cubes when they fit, else runs of rows within one), so the temporaries
+    stay in cache.
+    """
+    if tiles.size <= _BLOCK:
+        return _block_reduce(tiles, p, scale)
+    n_rows, tile_rows, n_cols, tile_cols = tiles.shape
+    row = n_cols * tile_cols
+    reduce = np.maximum if p.is_inf else np.add
+    table = np.empty((n_rows, n_cols))
+    band = max(1, _BLOCK // (tile_rows * row))  # rows of cubes per block
+    step = min(tile_rows, max(1, _BLOCK // row))  # rows per block within a row of cubes
+    for i in range(0, n_rows, band):
+        out = table[i : i + band]
+        part_scale = None if scale is None else scale[i : i + band]
+        out[...] = _block_reduce(tiles[i : i + band, :step], p, part_scale)
+        for r in range(step, tile_rows, step):
+            reduce(out, _block_reduce(tiles[i : i + band, r : r + step], p, part_scale), out=out)
+    return table
+
+
+def _block_reduce(block: np.ndarray, p: ExtendedExponent, scale) -> np.ndarray:
+    # reduce over the rows in each cube first, along contiguous memory, then
+    # over the short runs of columns
+    a = np.abs(block)
+    if scale is not None:
+        a /= scale[:, None, :, None]
+    if not (p.is_inf or p.value == 1.0):
+        a **= p.value
+    reduce = np.maximum.reduce if p.is_inf else np.add.reduce
+    return reduce(reduce(a, axis=1) if a.shape[1] > 1 else a[:, 0], axis=2)
+
+
+def _frozen(a: np.ndarray) -> bool:
+    """Whether no writable array or buffer shares memory with ``a``."""
+    while isinstance(a, np.ndarray) and not a.flags.writeable:
+        if a.base is None:
+            return True
+        a = a.base
+    return False
+
+
+def _cube_table(a: SampledSymbol, p: ExtendedExponent) -> np.ndarray:
+    """Unweighted local L^p norm (sum |a|^p)^(1/p) of each unit cube; max |a| for p = inf.
+
+    One blocked pass computes the plain sums; only if they leave the float
+    range do two more take the per-cube max and rescale (``_scaled_root``).
+    The table is memoised per exponent on the instance, read-only, when no
+    writable array shares the samples' memory (every ``make_symbol`` result
+    made from a fresh array), so norms that share a local exponent share the
+    pass.
+    """
+    if not isinstance(a, SampledSymbol):
+        raise TypeError(f"expected SampledSignal or SampledSymbol, got {type(a)!r}")
+    memo = a.__dict__.setdefault("_cube_tables", {}) if _frozen(a.samples) else {}
+    table = memo.get(p.value)
+    if table is None:
+        gx, gw = a.x_grid, a.w_grid
+        tiles = a.samples.reshape(gx.L, gx.m, gw.L, gw.m)
+        table = _scaled_root(lambda e, scale: _tile_reduce(tiles, e, scale), 1.0, p)
+        table.flags.writeable = False
+        memo[p.value] = table
+    return table
 
 
 def lp_norm(f, p) -> float:
@@ -103,9 +210,8 @@ def lp_norm(f, p) -> float:
     p = as_exponent(p)
     if isinstance(f, SampledSignal):
         return float(_power_mean(np.abs(f.samples), f.grid.h, p, axis=None))
-    if isinstance(f, SampledSymbol):
-        return float(_power_mean(np.abs(f.samples), f.cell, p, axis=None))
-    raise TypeError(f"expected SampledSignal or SampledSymbol, got {type(f)!r}")
+    table = _cube_table(f, p)
+    return float(f.cell**p.reciprocal * _sequence_norm(table, p))
 
 
 def mixed_lpq(F: SampledSymbol, p, q) -> float:
@@ -138,12 +244,8 @@ def amalgam_norm(f, p, q) -> float:
     p, q = as_exponent(p), as_exponent(q)
     if isinstance(f, SampledSignal):
         return float(_amalgam_1d(np.abs(f.samples), f.grid, p, q))
-    if isinstance(f, SampledSymbol):
-        gx, gw = f.x_grid, f.w_grid
-        blocks = np.abs(f.samples).reshape(gx.L, gx.m, gw.L, gw.m)
-        local = _power_mean(blocks.transpose(0, 2, 1, 3), f.cell, p, axis=(-2, -1))
-        return float(_sequence_norm(local.reshape(-1), q, axis=None))
-    raise TypeError(f"expected SampledSignal or SampledSymbol, got {type(f)!r}")
+    table = _cube_table(f, p)
+    return float(f.cell**p.reciprocal * _sequence_norm(table, q))
 
 
 def flp_norm(f: SampledSignal, p) -> float:

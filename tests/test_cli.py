@@ -153,3 +153,24 @@ def test_scan_stft_table_columns(tmp_path):
 def test_render_csv_is_stable():
     text = render_csv(["a", "b"], [{"a": 1.5, "b": "x"}, {"a": float("inf"), "b": True}])
     assert text == "a,b\n1.5,x\ninf,true\n"
+
+
+@pytest.mark.parametrize(
+    "args, header, exponents",
+    [
+        (["--kind", "symbol-mixed", "--symbol", "cube", "--r", "1", "--s", "inf"],
+         "kind,family,lam,p,q,r,s,value", ["2", "2", "1", "inf"]),
+        (["--kind", "lp", "--p", "4"], "kind,family,lam,p,value", ["4"]),
+    ],
+)
+def test_norm_table_records_the_exponents_used(tmp_path, args, header, exponents):
+    out = tmp_path / "n"
+    assert _run(["norm", *args, "--out", str(out)]) == 0
+    table = (out / "norm.csv").read_text().splitlines()
+    assert table[0] == header
+    assert table[1].split(",")[3:-1] == exponents
+
+
+def test_malformed_exponent_a_kind_does_not_use_exits_2(tmp_path, capsys):
+    assert _run(["norm", "--kind", "lp", "--s", "0.5", "--out", str(tmp_path / "n")]) == 2
+    assert "'s'" in capsys.readouterr().err

@@ -1,7 +1,10 @@
+import inspect
+import sys
+
 import numpy as np
 import pytest
 
-from tfamalgam import fourier, lp_norm, make_grid
+from tfamalgam import fourier, lp_norm, make_grid, norms
 from tfamalgam.experiments import (
     LocopScanSettings,
     StftScanSettings,
@@ -244,3 +247,57 @@ def test_verification_suite_passes():
     failed = [r for r in records if r.status != "pass"]
     assert not failed, failed
     assert len(records) >= 15
+
+
+def _count_norm_calls(monkeypatch):
+    """Wrap every public function of ``tfamalgam.norms`` wherever a library module holds it.
+
+    Returns the per-name call counts and the list of calls made while another
+    public norm was running.
+    """
+    calls, nested, depth = {}, [], [0]
+
+    def wrap(name, fn):
+        def wrapper(*args, **kwargs):
+            if depth[0]:
+                nested.append(name)
+            calls[name] = calls.get(name, 0) + 1
+            depth[0] += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        return wrapper
+
+    holders = [m for n, m in sys.modules.items() if n == "tfamalgam" or n.startswith("tfamalgam.")]
+    for attr, fn in list(vars(norms).items()):
+        if attr.startswith("_") or not inspect.isfunction(fn) or fn.__module__ != norms.__name__:
+            continue
+        wrapper = wrap(attr, fn)
+        for holder in holders:
+            for key, value in list(vars(holder).items()):
+                if value is fn:
+                    monkeypatch.setattr(holder, key, wrapper)
+    return calls, nested
+
+
+def test_stft_scan_calls_each_public_norm_once_per_ratio_term(monkeypatch):
+    # the benchmark's traced run pins these counts; batching norms would change them
+    settings = StftScanSettings(
+        lambdas_smooth=(1.0, 2.0, 4.0, 8.0),
+        lambdas_chirp=(2.0, 4.0, 8.0, 16.0),
+        smooth_grid=make_grid(16, 16),
+        chirp_grid=make_grid(8, 64),
+    )
+    pairs = default_lattice()
+    calls, nested = _count_norm_calls(monkeypatch)
+    scan_stft(pairs, settings)
+    n_chirp_pairs = sum(p.reciprocal < q.reciprocal for p, q in pairs)
+    n_smooth, n_chirp = len(settings.lambdas_smooth), len(settings.lambdas_chirp)
+    assert calls.pop("standard_window") == 2
+    assert calls == {
+        "amalgam_norm": 2 * len(pairs) * n_smooth + n_chirp_pairs * n_chirp,
+        "lp_norm": n_chirp_pairs * n_chirp,
+    }
+    assert nested == []

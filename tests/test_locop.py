@@ -20,7 +20,7 @@ from tfamalgam import (
     standard_window,
     weak_pairing,
 )
-from tfamalgam.experiments import random_bandlimited, random_tf_localized
+from tfamalgam.experiments import _suite_cases, random_bandlimited, random_tf_localized
 from tfamalgam.families import bump, gaussian_family, sharpness_symbol
 
 
@@ -308,3 +308,11 @@ def test_lr_bounds_probe_validation(grid128, unit_window, gauss_symbol):
     zero = make_signal(grid128, np.zeros(grid128.N))
     with pytest.raises(ValueError):
         opnorm_lr_bounds(K, 2, [zero])
+
+
+@pytest.mark.parametrize("grid", [make_grid(8, 16), make_grid(16, 16)], ids=["N128", "N256"])
+def test_opnorm_matches_dense_spectral_norm_on_schur_suite(grid):
+    for name, a, w1, w2 in _suite_cases(grid):
+        K = build_kernel(a, w1, w2)
+        expect = np.linalg.norm(K.grid.h * K.entries, 2)
+        assert opnorm_l2(K) == pytest.approx(expect, rel=1e-6), name
