@@ -116,6 +116,21 @@ _CONFIG_SECTIONS = {
 
 _SECTION_KEY_ALIASES = {("grid", "l"): "grid_l", ("grid", "m"): "grid_m"}
 
+_EXPONENT_FIELDS = ("p", "q", "r", "s")
+_SCAN_FIELDS = ("lambdas", "lattice", "margin")
+_SIGNAL_FIELDS = ("grid_l", "grid_m", "family", "lam")
+
+# the fields each command reads, beside command, out and format
+_COMMAND_FIELDS = {
+    "verify": ("seed",),
+    "scan-stft": _SCAN_FIELDS,
+    "scan-locop": _SCAN_FIELDS,
+    "scan-locop-lq": _SCAN_FIELDS,
+    "norm": (*_SIGNAL_FIELDS, "kind", *_EXPONENT_FIELDS, "symbol"),
+    "stft": (*_SIGNAL_FIELDS, "window"),
+    "locop": (*_SIGNAL_FIELDS, "window", "symbol"),
+}
+
 
 def load_config_file(path: str) -> dict:
     parser = configparser.ConfigParser()
@@ -152,6 +167,20 @@ def _exponent(config_value: str, field_name: str):
         return as_exponent(config_value)
     except ValueError as exc:
         raise ConfigError(f"invalid exponent for field {field_name!r}: {config_value!r} ({exc})") from exc
+
+
+def _fields_used(cfg: RunConfig) -> set:
+    """The config fields the command of ``cfg`` reads, given its kind, family and symbol."""
+    used = {"command", "out", "format", *_COMMAND_FIELDS[cfg.command]}
+    if cfg.command == "norm":
+        kind = cfg.kind.replace("-", "_")
+        used -= set(_EXPONENT_FIELDS[NORM_ARITY.get(kind, len(_EXPONENT_FIELDS)) :])
+        if kind != "symbol_mixed":
+            used.discard("symbol")
+    # lam sets the gaussian and chirp families and the sharpness symbol
+    if cfg.family in ("bump", "indicator") and not ("symbol" in used and cfg.symbol == "sharpness"):
+        used.discard("lam")
+    return used
 
 
 def build_config(argv) -> RunConfig:
@@ -192,6 +221,12 @@ def build_config(argv) -> RunConfig:
     merged["command"] = ns.command
     merged = _coerce(merged)
     cfg = RunConfig(**merged)
+    used = _fields_used(cfg)
+    unused = [f.name for f in fields(RunConfig) if f.name not in used and getattr(ns, f.name) is not None]
+    if unused:
+        flags = ", ".join("--" + name.replace("_", "-") for name in unused)
+        what = f"norm --kind {cfg.kind}" if cfg.command == "norm" else cfg.command
+        raise ConfigError(f"{flags} not used by {what} (fields {', '.join(map(repr, unused))})")
     if cfg.format not in ("csv", "json"):
         raise ConfigError(f"unknown output format {cfg.format!r}")
     if cfg.lattice is not None and any(not 0.0 <= v <= 1.0 for v in cfg.lattice):
@@ -411,8 +446,9 @@ def _run_norm(cfg: RunConfig) -> RunResult:
     kind = cfg.kind.replace("-", "_")
     if kind not in NORM_ARITY:
         raise ConfigError(f"unknown norm kind {cfg.kind!r}")
-    # every exponent flag must parse; the kind uses the first NORM_ARITY[kind]
-    parsed = {name: _exponent(getattr(cfg, name), name) for name in ("p", "q", "r", "s")}
+    # every exponent must parse, also one a config file sets for another kind;
+    # the kind uses the first NORM_ARITY[kind]
+    parsed = {name: _exponent(getattr(cfg, name), name) for name in _EXPONENT_FIELDS}
     names = tuple(parsed)[: NORM_ARITY[kind]]
     spec = NormSpec(kind, tuple(parsed[name] for name in names))
     if kind == "symbol_mixed":

@@ -354,9 +354,9 @@ def _locop_sweep(settings: LocopScanSettings) -> list[_LocopSweepData]:
     lams = _guarded(settings.lambdas, grid, settings.profile_radius)
     window = _locop_window(settings)
     chi = sample(bump(0.0, settings.chi_radius), grid)
+    h_sig = sample(profile, grid)
     data = []
     for lam in lams:
-        h_sig = sample(profile, grid)
         h_lam = sample(chirp_family(profile, lam), grid)
         f = make_signal(grid, np.conj(h_lam.samples))
         a = sharpness_symbol(profile, lam, grid)

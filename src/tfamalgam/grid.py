@@ -17,7 +17,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -60,12 +60,7 @@ class ExtendedExponent:
             return text
         if isinstance(text, (int, float)):
             return cls(float(text))
-        s = str(text).strip().lower()
-        if s in ("inf", "infinity", "oo"):
-            return cls(INFINITY)
-        if "/" in s:
-            return cls(float(Fraction(s)))
-        return cls(float(s))
+        return _parse_exponent_text(str(text))
 
     @property
     def is_inf(self) -> bool:
@@ -89,6 +84,20 @@ class ExtendedExponent:
 
     def __str__(self) -> str:
         return "inf" if self.is_inf else f"{self.value:g}"
+
+
+@lru_cache(maxsize=256)
+def _parse_exponent_text(text: str) -> ExtendedExponent:
+    """Parse a string exponent once; the result is frozen, so it can be shared."""
+    s = text.strip().lower()
+    if s in ("inf", "infinity", "oo"):
+        return ExtendedExponent(INFINITY)
+    if "/" in s:
+        try:
+            return ExtendedExponent(float(Fraction(s)))
+        except ZeroDivisionError as exc:
+            raise ValueError(f"exponent {text!r} divides by zero") from exc
+    return ExtendedExponent(float(s))
 
 
 def as_exponent(p) -> ExtendedExponent:

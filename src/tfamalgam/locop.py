@@ -28,7 +28,7 @@ from .grid import (
     make_symbol,
 )
 from .norms import lp_norm
-from .transforms import StftPlan, _shifted_windows, dft_centered, stft, synthesis
+from .transforms import StftPlan, dft_centered, stft, synthesis
 
 _POWER_ITER_CAP = 5000
 
@@ -101,25 +101,54 @@ def kernel_action(K: KernelMatrix, f: SampledSignal) -> SampledSignal:
 
 
 def build_kernel(a: SampledSymbol, phi1: SampledSignal, phi2: SampledSignal) -> KernelMatrix:
-    """Assemble the dense kernel via a partial Fourier transform in frequency.
+    """Assemble the dense kernel by FFT convolution, at O(N^2 log N) cost.
 
-    Summing the frequency axis first turns the double phase-space sum into
-    one pass over time positions, at O(N^3) total cost; the result matches
-    the direct double sum to round-off.
+    With a2 the centered DFT of a in frequency, s = the time stride of a and
+    d = y - x, every term of the phase-space sum has the form
+
+        K(x, x + d) = h * sum_j a2[j, v] U_v(x - j*s),  v = d + N/2,
+        U_v(t) = phi2(t + N/2) conj(phi1(t + v))          (indices mod N),
+
+    so each diagonal v is one circular convolution over window positions:
+    the FFT of U_v times that of the column a2[:, v] upsampled by s (the
+    length N/s FFT of the column, tiled s times).  An entry no term reaches
+    is set to exactly zero rather than left at FFT round-off: the same
+    convolution of the two nonzero patterns counts the terms, and a count is
+    a small integer, far from the threshold 1/2 at any feasible N.
+    ``build_kernel_direct`` is the reference; the two agree to round-off.
     """
     plan = _check_operator_shapes(a, phi1, phi2)
     grid, stride = plan.grid, plan.x_stride
     n = grid.N
-    # FT of a in its second variable, landing on the signal lattice
-    a2 = dft_centered(a.samples, a.w_grid.m)
-    idx = np.arange(n)
-    diff = (idx[None, :] - idx[:, None] + n // 2) % n  # value index of y - x
-    K = np.zeros((n, n), dtype=np.complex128)
-    w2 = _shifted_windows(phi2.samples, stride)
-    w1c = _shifted_windows(np.conj(phi1.samples), stride)
-    for j in range(a.x_grid.N):
-        K += a2[j, diff] * (w2[j][:, None] * w1c[j][None, :])
-    K *= a.x_grid.h
+    half, nx = n // 2, a.x_grid.N
+    # row v: the FT of a in its second variable at value index v, along j
+    a2 = np.ascontiguousarray(dft_centered(a.samples, a.w_grid.m).T)
+    a2_nonzero = a2 != 0
+    np.fft.fft(a2, axis=-1, out=a2)
+    a2 *= a.x_grid.h
+    # row v of U is U_v, built from a view of two copies of conj(phi1)
+    shifted = np.lib.stride_tricks.sliding_window_view(np.tile(np.conj(phi1.samples), 2), n)
+    U = shifted[:n] * np.roll(phi2.samples, -half)
+    pattern = (U != 0).astype(np.float64)
+    counts = np.fft.rfft(pattern, axis=-1)
+    np.fft.fft(U, axis=-1, out=U)
+    U.reshape(n, stride, nx)[...] *= a2[:, None, :]
+    del a2
+    np.fft.ifft(U, axis=-1, out=U)
+    # term counts: the same convolution of the two nonzero patterns
+    pattern[...] = 0.0
+    pattern[:, ::stride] = a2_nonzero
+    counts *= np.fft.rfft(pattern, axis=-1)
+    np.fft.irfft(counts, n, axis=-1, out=pattern)
+    del counts
+    np.copyto(U, 0.0, where=pattern < 0.5)
+    del pattern
+    # U[v, x] = K(x, x + v - N/2): rotate column x of U into row x of K
+    K = np.empty((n, n), dtype=np.complex128)
+    for x in range(n):
+        shift = (x - half) % n
+        K[x, shift:] = U[: n - shift, x]
+        K[x, :shift] = U[n - shift :, x]
     return KernelMatrix(grid, K, provenance=f"stride={stride}")
 
 

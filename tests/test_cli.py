@@ -174,3 +174,52 @@ def test_norm_table_records_the_exponents_used(tmp_path, args, header, exponents
 def test_malformed_exponent_a_kind_does_not_use_exits_2(tmp_path, capsys):
     assert _run(["norm", "--kind", "lp", "--s", "0.5", "--out", str(tmp_path / "n")]) == 2
     assert "'s'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        (["stft", "--p", "0.5"], "--p"),
+        (["norm", "--kind", "lp", "--q", "3"], "--q"),
+        (["norm", "--kind", "amalgam", "--symbol", "cube"], "--symbol"),
+        (["locop", "--kind", "amalgam"], "--kind"),
+        (["verify", "--grid-l", "8"], "--grid-l"),
+        (["scan-stft", "--seed", "1"], "--seed"),
+        (["scan-locop", "--lattice", "0.5", "--window", "bump"], "--window"),
+        (["norm", "--family", "bump", "--lam", "3"], "--lam"),
+    ],
+)
+def test_flag_the_command_does_not_use_exits_2(tmp_path, capsys, args, flag):
+    out = tmp_path / "x"
+    assert _run(args + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and flag in err
+    assert not out.exists()
+
+
+def test_unused_keys_in_a_config_file_are_accepted(tmp_path):
+    cfg = tmp_path / "shared.ini"
+    cfg.write_text("[op]\nkind = lp\nq = 3\nwindow = bump\n")
+    assert build_config(["norm", "--config", str(cfg)]).q == "3"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify", "--seed", "3"],
+        ["norm", "--kind", "amalgam"],
+        ["scan-stft", "--lattice", "0.5", "--lambdas", "4 8", "--margin", "0.1"],
+        ["scan-locop-lq", "--lattice", "0.5"],
+        ["norm", "--kind", "symbol-mixed", "--symbol", "cube", "--r", "1", "--s", "inf"],
+        ["locop", "--symbol", "unit", "--window", "bump", "--family", "chirp", "--lam", "2"],
+        ["stft", "--grid-l", "8", "--grid-m", "8", "--window", "bump"],
+        ["locop", "--family", "indicator", "--symbol", "sharpness", "--lam", "2"],
+    ],
+)
+def test_flags_the_command_uses_are_accepted(args):
+    assert build_config(args + ["--out", "o", "--format", "json"]).command == args[0]
+
+
+def test_zero_denominator_exponent_exits_2(tmp_path, capsys):
+    assert _run(["norm", "--p", "1/0", "--out", str(tmp_path / "n")]) == 2
+    assert capsys.readouterr().err.startswith("config error:")

@@ -76,6 +76,16 @@ def test_exponent_rejects(bad):
         as_exponent(bad)
 
 
+def test_string_exponents_are_parsed_once_and_errors_still_raise():
+    assert as_exponent("4/3") == as_exponent(4 / 3)
+    assert as_exponent(" INF ") == as_exponent(math.inf)
+    assert as_exponent("4/3") is as_exponent("4/3")  # frozen, so shared
+    for bad in ("half", "1/2", "2/x", "1/0", "0.5"):
+        for _ in range(2):  # a failure is not memoised
+            with pytest.raises(ValueError):
+                as_exponent(bad)
+
+
 def test_exponent_conjugates():
     assert as_exponent(1).conjugate.is_inf
     assert as_exponent("inf").conjugate.value == 1.0

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -316,3 +318,75 @@ def test_opnorm_matches_dense_spectral_norm_on_schur_suite(grid):
         K = build_kernel(a, w1, w2)
         expect = np.linalg.norm(K.grid.h * K.entries, 2)
         assert opnorm_l2(K) == pytest.approx(expect, rel=1e-6), name
+
+
+def test_opnorm_matches_dense_spectral_norm_on_schur_suite_n512():
+    for name, a, w1, w2 in _suite_cases(make_grid(16, 32)):
+        K = build_kernel(a, w1, w2)
+        expect = np.linalg.norm(K.grid.h * K.entries, 2)
+        assert opnorm_l2(K) == pytest.approx(expect, rel=1e-6), name
+
+
+# --- the FFT kernel against the direct sum and the operator route -------------
+
+
+def _chirped_symbol(x, w):
+    return np.exp(-np.pi * (x**2 + 0.5 * w**2)) * np.exp(1j * (x + 0.3 * w))
+
+
+def _strided_symbol(grid, stride):
+    """The complex symbol sampled on every ``stride``-th time position of ``grid``."""
+    x_grid = make_grid(grid.L, grid.m // stride)
+    values = _chirped_symbol(x_grid.points[:, None], grid.dual.points[None, :])
+    return make_symbol(x_grid, grid.dual, values)
+
+
+@pytest.mark.filterwarnings("ignore::tfamalgam.TailTruncationWarning")
+@pytest.mark.parametrize("stride", [1, 2, 4])
+@pytest.mark.parametrize("L, m", [(4, 8), (8, 16)], ids=["N32", "N128"])
+def test_fft_kernel_matches_direct_sum_on_strides(L, m, stride):
+    g = make_grid(L, m)
+    w1 = sample(gaussian_family(1.0), g)
+    w2 = sample(gaussian_family(2.5), g)
+    a = _strided_symbol(g, stride)
+    K = build_kernel(a, w1, w2)
+    Kd = build_kernel_direct(a, w1, w2)
+    assert K.provenance == f"stride={stride}"
+    assert np.abs(K.entries - Kd.entries).max() <= 1e-10
+
+
+@pytest.mark.parametrize("stride", [1, 4])
+def test_fft_kernel_action_matches_apply_locop_n512(stride):
+    g = make_grid(16, 32)
+    phi = standard_window(g)
+    a = _strided_symbol(g, stride)
+    f = random_tf_localized(g, 4.0, np.random.default_rng(stride))
+    lhs = kernel_action(build_kernel(a, phi, phi), f).samples
+    rhs = apply_locop(a, phi, phi, f).samples
+    assert np.abs(lhs - rhs).max() <= 1e-10 * np.abs(rhs).max()
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+def test_fft_kernel_is_exactly_zero_outside_the_support(stride):
+    g = make_grid(8, 16)
+    w = sample(bump(0.0, 1.0), g)
+    full = sharpness_symbol(bump(0.0, 1.0), 2.0, g)
+    a = make_symbol(make_grid(g.L, g.m // stride), full.w_grid, full.samples[::stride])
+    K = build_kernel(a, w, w).entries
+    X, Y = np.meshgrid(g.points, g.points, indexing="ij")
+    outside = np.abs(X - Y) >= 2.0
+    assert outside.any() and not (K[~outside] == 0.0).all()
+    assert (K[outside] == 0.0).all()
+
+
+def test_fft_kernel_peak_allocation_n1024():
+    g = make_grid(32, 32)
+    phi = standard_window(g)
+    a = phase_space_symbol(g, _chirped_symbol)
+    tracemalloc.start()
+    try:
+        build_kernel(a, phi, phi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * g.N**2 * 16
