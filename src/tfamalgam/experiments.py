@@ -234,11 +234,11 @@ class StftScanSettings:
     smooth_grid: Grid1D = make_grid(16, 128)
     chirp_grid: Grid1D = make_grid(8, 512)
     margin: float = 0.05
-    profile_radius: float = 1.0
 
 
-def _guarded(lambdas, grid: Grid1D, radius: float):
-    bound = max_alias_free_lambda(grid, radius)
+def _guarded(lambdas, grid: Grid1D):
+    # the chirp profiles are unit bumps
+    bound = max_alias_free_lambda(grid, 1.0)
     kept = tuple(l for l in lambdas if l <= bound)
     if len(kept) < 4:
         raise ValueError(
@@ -258,14 +258,14 @@ def scan_stft(points, settings: StftScanSettings | None = None) -> list[RegionVe
     settings = settings or StftScanSettings()
     pts = [(as_exponent(p), as_exponent(q)) for p, q in points]
     lams_a = tuple(float(l) for l in settings.lambdas_smooth)
-    lams_b = _guarded(settings.lambdas_chirp, settings.chirp_grid, settings.profile_radius)
+    lams_b = _guarded(settings.lambdas_chirp, settings.chirp_grid)
     runs_b = [p.reciprocal < q.reciprocal - _REGION_TOL for p, q in pts]
 
     vals_a = np.empty((len(pts), len(lams_a)))
     vals_b = np.full((len(pts), len(lams_b)), np.nan)
     window_a = standard_window(settings.smooth_grid)
     window_b = standard_window(settings.chirp_grid)
-    profile = bump(0.0, settings.profile_radius)
+    profile = bump(0.0, 1.0)
 
     for li, lam in enumerate(lams_a):
         phil = sample(gaussian_family(lam), settings.smooth_grid)
@@ -324,11 +324,8 @@ class LocopScanSettings:
     grid: Grid1D = make_grid(4, 512)
     window: str = "bump"  # "bump" or "gaussian"
     margin: float = 0.05
-    profile_radius: float = 1.0
-    chi_radius: float = 1.0
     # amalgam local exponent of the symbol norm; None means "use q"
     symbol_p: object = None
-    s_exponents: tuple | None = None  # norm of the input side; defaults to (r*, r*)
 
 
 @dataclass(frozen=True)
@@ -350,10 +347,9 @@ def _locop_window(settings: LocopScanSettings) -> SampledSignal:
 
 def _locop_sweep(settings: LocopScanSettings) -> list[_LocopSweepData]:
     grid = settings.grid
-    profile = bump(0.0, settings.profile_radius)
-    lams = _guarded(settings.lambdas, grid, settings.profile_radius)
+    profile = bump(0.0, 1.0)  # also the cutoff chi of the operator output
+    lams = _guarded(settings.lambdas, grid)
     window = _locop_window(settings)
-    chi = sample(bump(0.0, settings.chi_radius), grid)
     h_sig = sample(profile, grid)
     data = []
     for lam in lams:
@@ -365,7 +361,7 @@ def _locop_sweep(settings: LocopScanSettings) -> list[_LocopSweepData]:
         data.append(
             _LocopSweepData(
                 lam=lam,
-                chi_af=make_signal(grid, chi.samples * out.samples),
+                chi_af=make_signal(grid, h_sig.samples * out.samples),
                 x_factor=h_sig,
                 w_factor=inverse_fourier(h_lam),
                 probe_in=f,
@@ -384,12 +380,11 @@ def _scan_locop_impl(points, settings: LocopScanSettings) -> list[RegionVerdict]
         # operators and their adjoints have identical output magnitudes here
         # (real windows), so exponents below 2 are probed at the conjugate
         r_eff = r if inv_r <= 0.5 + _REGION_TOL else r.conjugate
-        s1, s2 = settings.s_exponents or (r_eff, r_eff)
         p_sym = settings.symbol_p if settings.symbol_p is not None else q
         values = []
         for d in sweep:
             symbol_norm = amalgam_norm(d.x_factor, p_sym, q) * amalgam_norm(d.w_factor, p_sym, q)
-            input_norm = amalgam_norm(d.probe_in, s1, s2)
+            input_norm = amalgam_norm(d.probe_in, r_eff, r_eff)
             values.append(lp_norm(d.chi_af, r_eff) / (symbol_norm * input_norm))
         fit = fit_scaling(zip(lams, values))
         growth = abs(inv_r - 0.5) - inv_q

@@ -28,7 +28,7 @@ from .grid import (
     make_symbol,
 )
 from .norms import lp_norm
-from .transforms import StftPlan, dft_centered, stft, synthesis
+from .transforms import StftPlan, _translates, dft_centered, stft, synthesis
 
 _POWER_ITER_CAP = 5000
 
@@ -126,9 +126,8 @@ def build_kernel(a: SampledSymbol, phi1: SampledSignal, phi2: SampledSignal) -> 
     a2_nonzero = a2 != 0
     np.fft.fft(a2, axis=-1, out=a2)
     a2 *= a.x_grid.h
-    # row v of U is U_v, built from a view of two copies of conj(phi1)
-    shifted = np.lib.stride_tricks.sliding_window_view(np.tile(np.conj(phi1.samples), 2), n)
-    U = shifted[:n] * np.roll(phi2.samples, -half)
+    # row v of U is U_v, built from the translates of conj(phi1)
+    U = _translates(np.conj(phi1.samples))[:n] * np.roll(phi2.samples, -half)
     pattern = (U != 0).astype(np.float64)
     counts = np.fft.rfft(pattern, axis=-1)
     np.fft.fft(U, axis=-1, out=U)

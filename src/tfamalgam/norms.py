@@ -91,8 +91,8 @@ _TINY_OVER_EPS = np.finfo(float).tiny / np.finfo(float).eps
 _SUP = ExtendedExponent(INFINITY)
 
 
-def _scaled_root(reduce, weight: float, p: ExtendedExponent) -> np.ndarray:
-    """(weight * sum |x|^p)^(1/p) per output (max |x| for p = inf).
+def _scaled_root(reduce, p: ExtendedExponent) -> np.ndarray:
+    """(sum |x|^p)^(1/p) per output (max |x| for p = inf).
 
     ``reduce(e, scale)`` gives, per output, the sum of (|x| / scale)^e (the
     max of |x| for e = inf); ``scale`` is None or holds one value per output.
@@ -101,37 +101,15 @@ def _scaled_root(reduce, weight: float, p: ExtendedExponent) -> np.ndarray:
     as in LAPACK dnrm2), so the result stays finite and homogeneous far
     beyond the amplitudes where |x|^p leaves the float range.
     """
-    if p.is_inf:
+    if p.is_inf or p.value == 1.0:
         return reduce(p, None)
-    if p.value == 1.0:
-        return weight * reduce(p, None)
     with np.errstate(over="ignore", under="ignore"):
-        sums = weight * reduce(p, None)
-        top = sums.max() if sums.ndim else sums
-        if _TINY_OVER_EPS <= top < INFINITY:
+        sums = reduce(p, None)
+        if _TINY_OVER_EPS <= sums.max() < INFINITY:
             return sums ** (1.0 / p.value)
         scale = reduce(_SUP, None)
         scale = np.where((scale > 0.0) & (scale < INFINITY), scale, 1.0)
-        return (weight * reduce(p, scale)) ** (1.0 / p.value) * scale
-
-
-def _power_mean(abs_values: np.ndarray, weight: float, p: ExtendedExponent, axis) -> np.ndarray:
-    """(weight * sum |x|^p)^(1/p) along ``axis`` (max for p = inf), scaled as ``_scaled_root``."""
-
-    def reduce(e, scale):
-        a = abs_values
-        if scale is not None:
-            a = a / (scale if axis is None else np.expand_dims(scale, axis))
-        if e.is_inf:
-            return a.max(axis=axis)
-        return (a if e.value == 1.0 else a**e.value).sum(axis=axis)
-
-    return _scaled_root(reduce, weight, p)
-
-
-def _sequence_norm(values: np.ndarray, q: ExtendedExponent, axis=None) -> np.ndarray:
-    # l^q with the counting measure over cube indices
-    return _power_mean(values, 1.0, q, axis)
+        return reduce(p, scale) ** (1.0 / p.value) * scale
 
 
 def _tile_reduce(tiles: np.ndarray, p: ExtendedExponent, scale=None) -> np.ndarray:
@@ -173,6 +151,38 @@ def _block_reduce(block: np.ndarray, p: ExtendedExponent, scale) -> np.ndarray:
     return reduce(reduce(a, axis=1) if a.shape[1] > 1 else a[:, 0], axis=2)
 
 
+def _root(tiles: np.ndarray, p: ExtendedExponent) -> np.ndarray:
+    """Unweighted local L^p norm (sum |x|^p)^(1/p) of each cube of a 4-D view, overflow-safe."""
+    return _scaled_root(lambda e, scale: _tile_reduce(tiles, e, scale), p)
+
+
+def _sequence_norm(values: np.ndarray, q: ExtendedExponent) -> float:
+    # l^q with the counting measure over all the values, taken as one cube
+    return float(_root(values.reshape(1, 1, 1, -1), q)[0, 0])
+
+
+def _row_amalgam(rows: np.ndarray, grid: Grid1D, p: ExtendedExponent, q: ExtendedExponent):
+    """W(L^p, L^q) norm on ``grid`` of each row of a 2-D array: one row of cubes per row."""
+    n = rows.shape[0]
+    local = _root(rows.reshape(n, 1, grid.L, grid.m), p)
+    return grid.h**p.reciprocal * _root(local.reshape(n, 1, 1, grid.L), q)[:, 0]
+
+
+def _cubes(f) -> tuple[np.ndarray, float]:
+    """Cube view and quadrature cell of a sampled object.
+
+    (L, 1, 1, m) with cell h for a signal; (Lx, mx, Lw, mw) with cell
+    h_x * h_w for a symbol.
+    """
+    if isinstance(f, SampledSignal):
+        g = f.grid
+        return f.samples.reshape(g.L, 1, 1, g.m), g.h
+    if isinstance(f, SampledSymbol):
+        gx, gw = f.x_grid, f.w_grid
+        return f.samples.reshape(gx.L, gx.m, gw.L, gw.m), f.cell
+    raise TypeError(f"expected SampledSignal or SampledSymbol, got {type(f)!r}")
+
+
 def _frozen(a: np.ndarray) -> bool:
     """Whether no writable array or buffer shares memory with ``a``."""
     while isinstance(a, np.ndarray) and not a.flags.writeable:
@@ -182,56 +192,51 @@ def _frozen(a: np.ndarray) -> bool:
     return False
 
 
-def _cube_table(a: SampledSymbol, p: ExtendedExponent) -> np.ndarray:
-    """Unweighted local L^p norm (sum |a|^p)^(1/p) of each unit cube; max |a| for p = inf.
+def _cube_table(f, p: ExtendedExponent) -> np.ndarray:
+    """Unweighted local L^p norm (sum |f|^p)^(1/p) of each unit cube; max |f| for p = inf.
 
     One blocked pass computes the plain sums; only if they leave the float
     range do two more take the per-cube max and rescale (``_scaled_root``).
     The table is memoised per exponent on the instance, read-only, when no
-    writable array shares the samples' memory (every ``make_symbol`` result
-    made from a fresh array), so norms that share a local exponent share the
-    pass.
+    writable array shares the samples' memory (every ``make_signal`` or
+    ``make_symbol`` result made from a fresh array), so norms that share a
+    local exponent share the pass.
     """
-    if not isinstance(a, SampledSymbol):
-        raise TypeError(f"expected SampledSignal or SampledSymbol, got {type(a)!r}")
-    memo = a.__dict__.setdefault("_cube_tables", {}) if _frozen(a.samples) else {}
+    tiles, _ = _cubes(f)
+    memo = f.__dict__.setdefault("_cube_tables", {}) if _frozen(f.samples) else {}
     table = memo.get(p.value)
     if table is None:
-        gx, gw = a.x_grid, a.w_grid
-        tiles = a.samples.reshape(gx.L, gx.m, gw.L, gw.m)
-        table = _scaled_root(lambda e, scale: _tile_reduce(tiles, e, scale), 1.0, p)
+        table = _root(tiles, p)
         table.flags.writeable = False
         memo[p.value] = table
     return table
 
 
+def _amalgam(f, p: ExtendedExponent, q: ExtendedExponent) -> float:
+    # l^q over the cube table, with the quadrature weight of the local L^p norms
+    return _cubes(f)[1] ** p.reciprocal * _sequence_norm(_cube_table(f, p), q)
+
+
 def lp_norm(f, p) -> float:
     """L^p quadrature norm of a signal (weight h) or symbol (weight h_x * h_w)."""
     p = as_exponent(p)
-    if isinstance(f, SampledSignal):
-        return float(_power_mean(np.abs(f.samples), f.grid.h, p, axis=None))
-    table = _cube_table(f, p)
-    return float(f.cell**p.reciprocal * _sequence_norm(table, p))
+    return _amalgam(f, p, p)
 
 
 def mixed_lpq(F: SampledSymbol, p, q) -> float:
     """Inner L^p over the time axis for each frequency, then L^q over frequency."""
     p, q = as_exponent(p), as_exponent(q)
-    inner = _power_mean(np.abs(F.samples), F.x_grid.h, p, axis=0)
-    return float(_power_mean(inner, F.w_grid.h, q, axis=None))
+    nx, nw = F.samples.shape
+    columns = _root(F.samples.reshape(1, nx, nw, 1), p)  # one cube per frequency
+    return F.x_grid.h**p.reciprocal * F.w_grid.h**q.reciprocal * _sequence_norm(columns, q)
 
 
 def mixed_lplq(F: SampledSymbol, p, q) -> float:
     """Inner L^q over the frequency axis for each time, then L^p over time."""
     p, q = as_exponent(p), as_exponent(q)
-    inner = _power_mean(np.abs(F.samples), F.w_grid.h, q, axis=1)
-    return float(_power_mean(inner, F.x_grid.h, p, axis=None))
-
-
-def _amalgam_1d(abs_samples: np.ndarray, grid: Grid1D, p: ExtendedExponent, q: ExtendedExponent):
-    blocks = abs_samples.reshape(abs_samples.shape[:-1] + (grid.L, grid.m))
-    local = _power_mean(blocks, grid.h, p, axis=-1)
-    return _sequence_norm(local, q, axis=-1)
+    nx, nw = F.samples.shape
+    rows = _root(F.samples.reshape(nx, 1, 1, nw), q)  # one cube per time
+    return F.w_grid.h**q.reciprocal * F.x_grid.h**p.reciprocal * _sequence_norm(rows, p)
 
 
 def amalgam_norm(f, p, q) -> float:
@@ -241,11 +246,7 @@ def amalgam_norm(f, p, q) -> float:
     into (L time-cubes) x (as many frequency-cubes as the frequency axis
     spans), each cube carrying a local L^p quadrature norm.
     """
-    p, q = as_exponent(p), as_exponent(q)
-    if isinstance(f, SampledSignal):
-        return float(_amalgam_1d(np.abs(f.samples), f.grid, p, q))
-    table = _cube_table(f, p)
-    return float(f.cell**p.reciprocal * _sequence_norm(table, q))
+    return _amalgam(f, as_exponent(p), as_exponent(q))
 
 
 def flp_norm(f: SampledSignal, p) -> float:
@@ -294,20 +295,19 @@ def modulation_norm_triebel(f: SampledSignal, p, q) -> float:
 
     psi(D-k) f is the inverse transform of fhat * T_k psi; k runs over the
     integers whose translated window can meet the sampled frequency band.
+    All bands are transformed at once, one row per band.
     """
     p, q = as_exponent(p), as_exponent(q)
     fhat = fourier(f)
-    omegas = fhat.grid.points
+    n, d = f.grid.N, fhat.grid.m  # d frequency samples per unit
     kmax = f.grid.m // 2 + 1
-    band_norms = []
-    for k in range(-kmax, kmax + 1):
-        w = partition_window(omegas, k)
-        if not w.any():
-            band_norms.append(0.0)
-            continue
-        piece = inverse_fourier(make_signal(fhat.grid, fhat.samples * w))
-        band_norms.append(lp_norm(piece, p))
-    return float(_sequence_norm(np.asarray(band_norms), q, axis=None))
+    # row k + kmax is T_k psi on the frequency lattice, for |k| <= kmax: a view
+    # of psi on a lattice 2 * kmax units longer, read from (kmax - k) units in
+    psi = partition_window((np.arange(n + 2 * kmax * d) - n // 2 - kmax * d) / d)
+    windows = np.lib.stride_tricks.sliding_window_view(psi, n)[2 * kmax * d :: -d]
+    bands = idft_centered(fhat.samples * windows, d)
+    local = _root(bands.reshape(len(windows), 1, 1, n), p)
+    return f.grid.h**p.reciprocal * _sequence_norm(local, q)
 
 
 def symbol_mixed_norm(a: SampledSymbol, p1, q1, p2, q2) -> float:
@@ -319,6 +319,5 @@ def symbol_mixed_norm(a: SampledSymbol, p1, q1, p2, q2) -> float:
     """
     p1, q1, p2, q2 = (as_exponent(e) for e in (p1, q1, p2, q2))
     rows_time = idft_centered(a.samples, a.w_grid.m)  # rows now live on dual(w_grid)
-    row_grid = a.w_grid.dual
-    profile = _amalgam_1d(np.abs(rows_time), row_grid, p2, q2)
-    return float(_amalgam_1d(np.abs(profile), a.x_grid, p1, q1))
+    profile = _row_amalgam(rows_time, a.w_grid.dual, p2, q2)
+    return float(_row_amalgam(profile[None, :], a.x_grid, p1, q1)[0])

@@ -97,16 +97,15 @@ class StftPlan:
         return (self.grid.N // self.x_stride, self.grid.N)
 
 
-def _shifted_windows(g: np.ndarray, stride: int) -> np.ndarray:
-    """Read-only table of the shifted windows T_x g, one row per retained x.
+def _translates(g: np.ndarray) -> np.ndarray:
+    """Read-only table of the circular translates of ``g``: row i is ``g[(t + i) % n]``.
 
-    Row r is ``g[(t - (r*stride - n//2)) % n]``: the window translated to the
-    r-th time position of the stride-``stride`` sublattice.  The table is a
-    view of three copies of ``g``, so no row is materialised until it is read.
+    Rows run over 0 <= i <= 2n, so the window translated to sample j,
+    ``g[(t - j + n//2) % n]`` on the centered lattice, is row n + n//2 - j for
+    every 0 <= j < n.  The table is a view of three copies of ``g``, so no row
+    is materialised until it is read.
     """
-    n = g.shape[-1]
-    table = np.lib.stride_tricks.sliding_window_view(np.tile(g, 3), n)
-    return table[n + n // 2 :: -stride][: n // stride]
+    return np.lib.stride_tricks.sliding_window_view(np.tile(g, 3), g.shape[-1])
 
 
 def stft(f: SampledSignal, g: SampledSignal, plan: StftPlan | None = None) -> SampledSymbol:
@@ -125,7 +124,7 @@ def stft(f: SampledSignal, g: SampledSignal, plan: StftPlan | None = None) -> Sa
     nx = n // stride
     out = np.empty((nx, n), dtype=np.complex128)
     fs = f.samples
-    windows = _shifted_windows(np.conj(g.samples), stride)
+    windows = _translates(np.conj(g.samples))[n + n // 2 :: -stride][:nx]
     block = max(1, _CHUNK_ELEMENTS // n)
     scale = _center_sign(n) / grid.m
     for start in range(0, nx, block):
@@ -151,7 +150,7 @@ def synthesis(F: SampledSymbol, g: SampledSignal) -> SampledSignal:
     rows_total = F.samples.shape[0]
     profiles = idft_centered(F.samples, F.w_grid.m)
     out = np.zeros(n, dtype=np.complex128)
-    windows = _shifted_windows(g.samples, stride)
+    windows = _translates(g.samples)[n + n // 2 :: -stride][:rows_total]
     block = max(1, _CHUNK_ELEMENTS // n)
     for start in range(0, rows_total, block):
         rows = profiles[start : start + block]
