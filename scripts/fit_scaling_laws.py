@@ -3,7 +3,8 @@
 
 Covers the chirp transform norms, the dilated-Gaussian amalgam norms, the
 STFT amalgam norms, and the operator sharpness ratios, each fitted over a
-geometric parameter sweep.
+geometric parameter sweep.  Exits 1 when any measured exponent is off its
+prediction by more than 0.07, 0 otherwise.
 """
 
 import sys
@@ -21,12 +22,15 @@ from tfamalgam.experiments import fit_scaling, scan_locop
 from tfamalgam.families import bump, chirp_family, gaussian_family, predicted_exponent
 
 
-def show(label, slope, predicted):
-    flag = "ok " if abs(slope - predicted) <= 0.07 else "OFF"
-    print(f"  [{flag}] {label}: measured {slope:+.4f}  predicted {predicted:+.4f}")
-
-
 def main():
+    off = []
+
+    def show(label, slope, predicted):
+        flag = "ok " if abs(slope - predicted) <= 0.07 else "OFF"
+        if flag == "OFF":
+            off.append(label)
+        print(f"  [{flag}] {label}: measured {slope:+.4f}  predicted {predicted:+.4f}")
+
     lams = (4.0, 8.0, 16.0, 32.0, 64.0)
 
     print("chirp transform norms (grid 16x512):")
@@ -59,7 +63,9 @@ def main():
             verdict.measured_slope,
             predicted_exponent("locop-sharpness-ratio", q=q, r=r),
         )
-    return 0
+    if off:
+        print(f"{len(off)} fits OFF: {', '.join(off)}")
+    return 1 if off else 0
 
 
 if __name__ == "__main__":

@@ -55,7 +55,6 @@ from .families import (
     bump,
     chirp_family,
     chirped_gaussian,
-    custom_window,
     gaussian_family,
     indicator,
     predicted_exponent,

@@ -62,8 +62,6 @@ from .norms import (
 )
 from .transforms import stft
 
-COMMANDS = ("verify", "scan-stft", "scan-locop", "scan-locop-lq", "norm", "stft", "locop")
-
 
 class ConfigError(ValueError):
     """Invalid configuration; maps to exit code 2."""
@@ -120,17 +118,6 @@ _EXPONENT_FIELDS = ("p", "q", "r", "s")
 _SCAN_FIELDS = ("lambdas", "lattice", "margin")
 _SIGNAL_FIELDS = ("grid_l", "grid_m", "family", "lam")
 
-# the fields each command reads, beside command, out and format
-_COMMAND_FIELDS = {
-    "verify": ("seed",),
-    "scan-stft": _SCAN_FIELDS,
-    "scan-locop": _SCAN_FIELDS,
-    "scan-locop-lq": _SCAN_FIELDS,
-    "norm": (*_SIGNAL_FIELDS, "kind", *_EXPONENT_FIELDS, "symbol"),
-    "stft": (*_SIGNAL_FIELDS, "window"),
-    "locop": (*_SIGNAL_FIELDS, "window", "symbol"),
-}
-
 
 def load_config_file(path: str) -> dict:
     parser = configparser.ConfigParser()
@@ -171,7 +158,7 @@ def _exponent(config_value: str, field_name: str):
 
 def _fields_used(cfg: RunConfig) -> set:
     """The config fields the command of ``cfg`` reads, given its kind, family and symbol."""
-    used = {"command", "out", "format", *_COMMAND_FIELDS[cfg.command]}
+    used = {"command", "out", "format", *_COMMANDS[cfg.command][1]}
     if cfg.command == "norm":
         kind = cfg.kind.replace("-", "_")
         used -= set(_EXPONENT_FIELDS[NORM_ARITY.get(kind, len(_EXPONENT_FIELDS)) :])
@@ -185,7 +172,7 @@ def _fields_used(cfg: RunConfig) -> set:
 
 def build_config(argv) -> RunConfig:
     ap = argparse.ArgumentParser(prog="tfamalgam", description=__doc__.splitlines()[0])
-    ap.add_argument("command", choices=COMMANDS)
+    ap.add_argument("command", choices=tuple(_COMMANDS))
     ap.add_argument("--config", help="INI config file; flags override file keys")
     ap.add_argument("--seed", type=int)
     ap.add_argument("--out")
@@ -227,6 +214,10 @@ def build_config(argv) -> RunConfig:
         flags = ", ".join("--" + name.replace("_", "-") for name in unused)
         what = f"norm --kind {cfg.kind}" if cfg.command == "norm" else cfg.command
         raise ConfigError(f"{flags} not used by {what} (fields {', '.join(map(repr, unused))})")
+    for name in ("lam", "margin", "lambdas"):
+        value = getattr(cfg, name)
+        if value is not None and not np.all(np.isfinite(value)):
+            raise ConfigError(f"{name} must be finite, got {value!r}")
     if cfg.format not in ("csv", "json"):
         raise ConfigError(f"unknown output format {cfg.format!r}")
     if cfg.lattice is not None and any(not 0.0 <= v <= 1.0 for v in cfg.lattice):
@@ -349,84 +340,55 @@ def _run_verify(cfg: RunConfig) -> RunResult:
     return RunResult(columns, records, assertions)
 
 
-def _scan_settings(cfg: RunConfig, which: str):
-    if which == "stft":
-        settings = StftScanSettings()
-        if cfg.lambdas is not None:
-            settings = replace(settings, lambdas_smooth=cfg.lambdas, lambdas_chirp=cfg.lambdas)
-        if cfg.margin is not None:
-            settings = replace(settings, margin=cfg.margin)
-        return settings
-    settings = LocopScanSettings() if which == "locop" else DEFAULT_LQ_SETTINGS
-    if cfg.lambdas is not None:
-        settings = replace(settings, lambdas=cfg.lambdas)
-    if cfg.margin is not None:
-        settings = replace(settings, margin=cfg.margin)
-    return settings
+# command: (scan, default settings, the sweep fields --lambdas sets,
+#           (first, second) exponent names, {probe: slope column});
+# the lattice iterates the reciprocals of the (first, second) pairs
+_LOCOP_SLOPES = {"sharpness_ratio": "slope"}
+_SCANS = {
+    "scan-stft": (
+        scan_stft,
+        StftScanSettings(),
+        ("lambdas_smooth", "lambdas_chirp"),
+        ("p", "q"),
+        {"stft_amalgam_ratio": "slope_a", "chirp_lq_ratio": "slope_b"},
+    ),
+    "scan-locop": (scan_locop, LocopScanSettings(), ("lambdas",), ("q", "r"), _LOCOP_SLOPES),
+    "scan-locop-lq": (scan_locop_lq, DEFAULT_LQ_SETTINGS, ("lambdas",), ("q", "r"), _LOCOP_SLOPES),
+}
 
 
 def _run_scan(cfg: RunConfig) -> RunResult:
+    scan, settings, sweep_fields, (first, second), slope_cols = _SCANS[cfg.command]
+    overrides = dict.fromkeys(sweep_fields, cfg.lambdas) if cfg.lambdas is not None else {}
+    if cfg.margin is not None:
+        overrides["margin"] = cfg.margin
     pairs = default_lattice(cfg.lattice if cfg.lattice is not None else INVERSE_LATTICE)
-    if cfg.command == "scan-stft":
-        # pairs are (p, q); lattice iterates (1/p, 1/q)
-        verdicts = scan_stft(pairs, _scan_settings(cfg, "stft"))
-        first, second = "p", "q"
-        probe_names = ("stft_amalgam_ratio", "chirp_lq_ratio")
-    else:
-        verdicts = (scan_locop if cfg.command == "scan-locop" else scan_locop_lq)(
-            pairs, _scan_settings(cfg, "locop" if cfg.command == "scan-locop" else "lq")
-        )
-        first, second = "q", "r"
-        probe_names = ("sharpness_ratio",)
+    verdicts = scan(pairs, replace(settings, **overrides))
 
-    columns = [first, second, "predicted"]
-    if len(probe_names) == 2:
-        columns += ["slope_a", "slope_b"]
-    else:
-        columns += ["slope"]
+    columns = [first, second, "predicted", *slope_cols.values()]
     columns += ["classified", "residual", "boundary"]
-
     records, samples, assertions = [], [], []
     for v in verdicts:
-        fit_main = v.fits[probe_names[0]]
-        row = {first: v.exponents[0], second: v.exponents[1], "predicted": v.predicted}
-        if len(probe_names) == 2:
-            fit_b = v.fits.get(probe_names[1])
-            row["slope_a"] = fit_main.slope
-            row["slope_b"] = fit_b.slope if fit_b else ""
-        else:
-            row["slope"] = fit_main.slope
-        residual = max(f.max_residual for f in v.fits.values())
-        row.update(
-            classified=v.classified,
-            residual=residual,
-            boundary="excluded" if v.boundary_excluded else "",
+        point = {first: v.exponents[0], second: v.exponents[1]}
+        # a probe that did not run at this point leaves its column empty
+        slopes = {col: v.fits[p].slope if p in v.fits else "" for p, col in slope_cols.items()}
+        records.append(
+            {
+                **point,
+                "predicted": v.predicted,
+                **slopes,
+                "classified": v.classified,
+                "residual": max(f.max_residual for f in v.fits.values()),
+                "boundary": "excluded" if v.boundary_excluded else "",
+            }
         )
-        records.append(row)
         for probe, fit in v.fits.items():
-            for lam, value in zip(fit.lambdas, fit.values):
-                samples.append(
-                    {
-                        first: v.exponents[0],
-                        second: v.exponents[1],
-                        "probe": probe,
-                        "kind": "sample",
-                        "lambda": lam,
-                        "value": value,
-                        "slope": "",
-                    }
-                )
-            samples.append(
-                {
-                    first: v.exponents[0],
-                    second: v.exponents[1],
-                    "probe": probe,
-                    "kind": "fit",
-                    "lambda": "",
-                    "value": "",
-                    "slope": fit.slope,
-                }
-            )
+            row = {**point, "probe": probe}
+            samples += [
+                {**row, "kind": "sample", "lambda": lam, "value": value, "slope": ""}
+                for lam, value in zip(fit.lambdas, fit.values)
+            ]
+            samples.append({**row, "kind": "fit", "lambda": "", "value": "", "slope": fit.slope})
         ok = v.boundary_excluded or v.predicted == v.classified
         assertions.append(
             _assertion(
@@ -506,23 +468,24 @@ def _run_locop(cfg: RunConfig) -> RunResult:
     return RunResult(columns, records, assertions)
 
 
-_RUNNERS = {
-    "verify": _run_verify,
-    "scan-stft": _run_scan,
-    "scan-locop": _run_scan,
-    "scan-locop-lq": _run_scan,
-    "norm": _run_norm,
-    "stft": _run_stft,
-    "locop": _run_locop,
+# command: (runner, the fields it reads beside command, out and format)
+_COMMANDS = {
+    "verify": (_run_verify, ("seed",)),
+    "scan-stft": (_run_scan, _SCAN_FIELDS),
+    "scan-locop": (_run_scan, _SCAN_FIELDS),
+    "scan-locop-lq": (_run_scan, _SCAN_FIELDS),
+    "norm": (_run_norm, (*_SIGNAL_FIELDS, "kind", *_EXPONENT_FIELDS, "symbol")),
+    "stft": (_run_stft, (*_SIGNAL_FIELDS, "window")),
+    "locop": (_run_locop, (*_SIGNAL_FIELDS, "window", "symbol")),
 }
 
 
 def run(cfg: RunConfig) -> int:
     """Execute one command; write artifacts; return the exit code."""
-    if cfg.command not in _RUNNERS:
+    if cfg.command not in _COMMANDS:
         raise ConfigError(f"unknown command {cfg.command!r}")
     try:
-        result = _RUNNERS[cfg.command](cfg)
+        result = _COMMANDS[cfg.command][0](cfg)
     except ValueError as exc:  # a domain error in the configured values
         raise ConfigError(str(exc)) from exc
     records = [_clean_record(r) for r in result.records]

@@ -115,15 +115,10 @@ def random_bandlimited(grid: Grid1D, radius: float, rng: np.random.Generator) ->
     return inverse_fourier(make_signal(dual, coeff))
 
 
-def random_tf_localized(
-    grid: Grid1D,
-    radius: float,
-    rng: np.random.Generator,
-    envelope_scale: float | None = None,
-) -> SampledSignal:
+def random_tf_localized(grid: Grid1D, radius: float, rng: np.random.Generator) -> SampledSignal:
     """Band-limited noise under a Gaussian envelope, so it decays like a line signal."""
     base = random_bandlimited(grid, radius, rng)
-    sigma = envelope_scale if envelope_scale is not None else grid.L / 4.0
+    sigma = grid.L / 4.0
     envelope = np.exp(-np.pi * (grid.points / sigma) ** 2)
     return make_signal(grid, base.samples * envelope)
 
@@ -211,12 +206,20 @@ class RegionVerdict:
     fits: dict = field(default_factory=dict, compare=False)
 
 
-def _classify(measured: float, margin: float) -> str:
-    return "unbounded" if measured > margin else "bounded"
-
-
-def _boundary(growth: float, margin: float) -> bool:
-    return 0.0 < growth < 2.0 * margin
+def _verdict(point, exponents, bounded, growth, fits, margin) -> RegionVerdict:
+    """The verdict at one exponent pair: unbounded when the steepest probe outgrows the margin."""
+    measured = max(fit.slope for fit in fits.values())
+    return RegionVerdict(
+        point=point,
+        exponents=tuple(str(e) for e in exponents),
+        predicted="bounded" if bounded else "unbounded",
+        predicted_growth=float(growth),
+        measured_slope=float(measured),
+        classified="unbounded" if measured > margin else "bounded",
+        margin=margin,
+        boundary_excluded=0.0 < growth < 2.0 * margin,
+        fits=fits,
+    )
 
 
 @dataclass(frozen=True)
@@ -287,27 +290,12 @@ def scan_stft(points, settings: StftScanSettings | None = None) -> list[RegionVe
     for pi, (p, q) in enumerate(pts):
         inv_p, inv_q = p.reciprocal, q.reciprocal
         fits = {"stft_amalgam_ratio": fit_scaling(zip(lams_a, vals_a[pi]))}
-        pred_a = 0.5 * inv_p - 0.5 * (1.0 - inv_q)
-        growth = pred_a
-        measured = fits["stft_amalgam_ratio"].slope
+        growth = 0.5 * inv_p - 0.5 * (1.0 - inv_q)
         if runs_b[pi]:
             fits["chirp_lq_ratio"] = fit_scaling(zip(lams_b, vals_b[pi]))
             growth = max(growth, inv_q - 0.5)
-            measured = max(measured, fits["chirp_lq_ratio"].slope)
         bounded = (inv_q <= 0.5 + _REGION_TOL) and (inv_p <= 1.0 - inv_q + _REGION_TOL)
-        verdicts.append(
-            RegionVerdict(
-                point=(inv_q, inv_p),
-                exponents=(str(p), str(q)),
-                predicted="bounded" if bounded else "unbounded",
-                predicted_growth=float(growth),
-                measured_slope=float(measured),
-                classified=_classify(measured, settings.margin),
-                margin=settings.margin,
-                boundary_excluded=_boundary(growth, settings.margin),
-                fits=fits,
-            )
-        )
+        verdicts.append(_verdict((inv_q, inv_p), (p, q), bounded, growth, fits, settings.margin))
     return verdicts
 
 
@@ -370,7 +358,9 @@ def _locop_sweep(settings: LocopScanSettings) -> list[_LocopSweepData]:
     return data
 
 
-def _scan_locop_impl(points, settings: LocopScanSettings) -> list[RegionVerdict]:
+def scan_locop(points, settings: LocopScanSettings | None = None) -> list[RegionVerdict]:
+    """Sharpness scan with compactly supported bump windows and amalgam symbol norms."""
+    settings = settings or LocopScanSettings()
     pts = [(as_exponent(q), as_exponent(r)) for q, r in points]
     sweep = _locop_sweep(settings)
     lams = [d.lam for d in sweep]
@@ -386,28 +376,11 @@ def _scan_locop_impl(points, settings: LocopScanSettings) -> list[RegionVerdict]
             symbol_norm = amalgam_norm(d.x_factor, p_sym, q) * amalgam_norm(d.w_factor, p_sym, q)
             input_norm = amalgam_norm(d.probe_in, r_eff, r_eff)
             values.append(lp_norm(d.chi_af, r_eff) / (symbol_norm * input_norm))
-        fit = fit_scaling(zip(lams, values))
+        fits = {"sharpness_ratio": fit_scaling(zip(lams, values))}
         growth = abs(inv_r - 0.5) - inv_q
         bounded = inv_q >= abs(inv_r - 0.5) - _REGION_TOL
-        verdicts.append(
-            RegionVerdict(
-                point=(inv_r, inv_q),
-                exponents=(str(q), str(r)),
-                predicted="bounded" if bounded else "unbounded",
-                predicted_growth=float(growth),
-                measured_slope=float(fit.slope),
-                classified=_classify(fit.slope, settings.margin),
-                margin=settings.margin,
-                boundary_excluded=_boundary(growth, settings.margin),
-                fits={"sharpness_ratio": fit},
-            )
-        )
+        verdicts.append(_verdict((inv_r, inv_q), (q, r), bounded, growth, fits, settings.margin))
     return verdicts
-
-
-def scan_locop(points, settings: LocopScanSettings | None = None) -> list[RegionVerdict]:
-    """Sharpness scan with compactly supported bump windows and amalgam symbol norms."""
-    return _scan_locop_impl(points, settings or LocopScanSettings())
 
 
 DEFAULT_LQ_SETTINGS = LocopScanSettings(
@@ -422,7 +395,7 @@ def scan_locop_lq(points, settings: LocopScanSettings | None = None) -> list[Reg
     settings = settings or DEFAULT_LQ_SETTINGS
     if settings.symbol_p is not None:
         raise ValueError("the L^q scan fixes the symbol norm to W(L^q, L^q) = L^q")
-    return _scan_locop_impl(points, settings)
+    return scan_locop(points, settings)
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +454,6 @@ def _suite_cases(grid: Grid1D):
 def schur_consistency_suite(
     grid: Grid1D | None = None,
     seed: int = 0,
-    n_random_probes: int = 8,
     cases=None,
 ) -> list[SchurCaseResult]:
     """Check Schur quantities, L^2 dominance, and amalgam action budgets.
@@ -496,9 +468,7 @@ def schur_consistency_suite(
     rng = np.random.default_rng(seed)
     phi = standard_window(grid)
     probes = [phi, translate(phi, 1.0), modulate(phi, 1.0)]
-    probes += [
-        random_tf_localized(grid, min(4.0, grid.m / 4.0), rng) for _ in range(n_random_probes)
-    ]
+    probes += [random_tf_localized(grid, min(4.0, grid.m / 4.0), rng) for _ in range(8)]
     results = []
     for name, a, w1, w2 in cases if cases is not None else _suite_cases(grid):
         K = build_kernel(a, w1, w2)

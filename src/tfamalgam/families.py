@@ -8,7 +8,7 @@ symbol h(x) (F^{-1} h_lam)(w).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -30,7 +30,6 @@ __all__ = [
     "chirp_family",
     "bump",
     "indicator",
-    "custom_window",
     "sharpness_symbol",
     "SYMBOL_EVALUATORS",
     "max_alias_free_lambda",
@@ -42,16 +41,13 @@ __all__ = [
 class WindowSpec:
     """Analytic descriptor of a test function with a pointwise evaluator."""
 
-    kind: str
     evaluator: Callable[[np.ndarray], np.ndarray]
     label: str = ""
     compact_support: bool = False
     support_radius: float | None = None
     unit_at_zero: bool = False
     nonnegative: bool = False
-    in_m1: bool = True
     chirp_rate: float | None = None
-    params: tuple = field(default=())
 
 
 def gaussian_family(lam: float) -> WindowSpec:
@@ -59,12 +55,10 @@ def gaussian_family(lam: float) -> WindowSpec:
     if lam <= 0:
         raise ValueError("lam must be positive")
     return WindowSpec(
-        kind="gaussian",
         evaluator=lambda t: np.exp(-np.pi * lam * np.asarray(t, dtype=float) ** 2),
         label=f"gaussian(lam={lam:g})",
         unit_at_zero=True,
         nonnegative=True,
-        params=(lam,),
     )
 
 
@@ -74,13 +68,11 @@ def chirped_gaussian(a: float, b: float) -> WindowSpec:
         raise ValueError("a must be positive")
     coeff = a + 1j * b
     return WindowSpec(
-        kind="chirped_gaussian",
         evaluator=lambda t: np.exp(-np.pi * coeff * np.asarray(t, dtype=float) ** 2),
         label=f"chirped_gaussian(a={a:g}, b={b:g})",
         unit_at_zero=True,
         nonnegative=(b == 0),
         chirp_rate=b if b else None,
-        params=(a, b),
     )
 
 
@@ -88,7 +80,6 @@ def chirp_family(profile: WindowSpec, lam: float) -> WindowSpec:
     """Quadratic chirp profile(t) e^{-i pi lam t^2}; |h_lam| = |profile|."""
     base = profile.evaluator
     return WindowSpec(
-        kind="chirp",
         evaluator=lambda t: base(t) * np.exp(-1j * np.pi * lam * np.asarray(t, dtype=float) ** 2),
         label=f"chirp(lam={lam:g}, profile={profile.label})",
         compact_support=profile.compact_support,
@@ -96,7 +87,6 @@ def chirp_family(profile: WindowSpec, lam: float) -> WindowSpec:
         unit_at_zero=profile.unit_at_zero,
         nonnegative=False,
         chirp_rate=lam,
-        params=(lam,) + profile.params,
     )
 
 
@@ -114,14 +104,12 @@ def bump(center: float = 0.0, radius: float = 1.0) -> WindowSpec:
         return out
 
     return WindowSpec(
-        kind="bump",
         evaluator=evaluate,
         label=f"bump(center={center:g}, radius={radius:g})",
         compact_support=True,
         support_radius=abs(center) + radius,
         unit_at_zero=(center == 0.0),
         nonnegative=True,
-        params=(center, radius),
     )
 
 
@@ -130,21 +118,13 @@ def indicator(left: float, right: float) -> WindowSpec:
     if not right > left:
         raise ValueError("need right > left")
     return WindowSpec(
-        kind="indicator",
         evaluator=lambda t: ((np.asarray(t) >= left) & (np.asarray(t) < right)).astype(float),
         label=f"indicator[{left:g},{right:g})",
         compact_support=True,
         support_radius=max(abs(left), abs(right)),
         unit_at_zero=(left <= 0.0 < right),
         nonnegative=True,
-        in_m1=False,
-        params=(left, right),
     )
-
-
-def custom_window(evaluator, label: str = "custom", **flags) -> WindowSpec:
-    """Wrap an arbitrary pointwise evaluator as a WindowSpec."""
-    return WindowSpec(kind="custom", evaluator=evaluator, label=label, **flags)
 
 
 #: pointwise evaluators a(x, w) of the fixed phase-space symbols, by name
@@ -155,7 +135,7 @@ SYMBOL_EVALUATORS = {
 }
 
 
-def sharpness_symbol(profile: WindowSpec, lam: float, grid: Grid1D, enforce_guard: bool = True) -> SampledSymbol:
+def sharpness_symbol(profile: WindowSpec, lam: float, grid: Grid1D) -> SampledSymbol:
     """Separable phase-space symbol profile(x) * (F^{-1} chirp)(w).
 
     This is the extremal symbol family of the localization-operator sharpness
@@ -165,7 +145,7 @@ def sharpness_symbol(profile: WindowSpec, lam: float, grid: Grid1D, enforce_guar
     radius = profile.support_radius
     if radius is None:
         raise ValueError("profile must have a known support radius")
-    if enforce_guard and abs(lam) > max_alias_free_lambda(grid, radius):
+    if abs(lam) > max_alias_free_lambda(grid, radius):
         raise ValueError(
             f"lam={lam} exceeds the alias-free bound "
             f"{max_alias_free_lambda(grid, radius):g} on grid (L={grid.L}, m={grid.m})"

@@ -23,7 +23,7 @@ import numpy as np
 
 INFINITY = math.inf
 
-#: Default bound on the relative L^1 mass allowed in the outermost unit cube
+#: Bound on the relative L^1 mass allowed in the outermost unit cube
 #: on each side before sampling warns about truncation.
 EPS_TAIL = 1e-12
 
@@ -231,18 +231,18 @@ def max_alias_free_lambda(grid: Grid1D, support_radius: float, margin: float | N
     return (grid.m / 2.0 - margin) / support_radius
 
 
-def sample(window, grid: Grid1D, eps_tail: float = EPS_TAIL) -> SampledSignal:
+def sample(window, grid: Grid1D) -> SampledSignal:
     """Evaluate a window spec pointwise on the grid.
 
-    Warns (does not fail) when the tail mass exceeds ``eps_tail`` or when the
+    Warns (does not fail) when the tail mass exceeds ``EPS_TAIL`` or when the
     window is a chirp whose rate exceeds the alias-free bound for this grid.
     """
     values = np.asarray(window.evaluator(grid.points), dtype=np.complex128)
     sig = make_signal(grid, values)
-    if sig.tail_mass > eps_tail:
+    if sig.tail_mass > EPS_TAIL:
         warnings.warn(
             f"sampled window {getattr(window, 'label', '?')} keeps relative tail mass "
-            f"{sig.tail_mass:.3e} > {eps_tail:.1e} in the outermost cubes",
+            f"{sig.tail_mass:.3e} > {EPS_TAIL:.1e} in the outermost cubes",
             TailTruncationWarning,
             stacklevel=2,
         )

@@ -55,8 +55,8 @@ def apply_locop(
     plan = _check_operator_shapes(a, phi1, phi2)
     if f.grid != plan.grid:
         raise ValueError("input signal grid does not match the windows")
-    V = stft(f, phi1, plan)
-    weighted = make_symbol(a.x_grid, a.w_grid, a.samples * V.samples)
+    # V_{phi1} f is dropped once weighted, so it is not held while synthesis runs
+    weighted = make_symbol(a.x_grid, a.w_grid, a.samples * stft(f, phi1, plan).samples)
     return synthesis(weighted, phi2)
 
 

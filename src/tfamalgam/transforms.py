@@ -148,12 +148,12 @@ def synthesis(F: SampledSymbol, g: SampledSignal) -> SampledSignal:
     stride = grid.m // F.x_grid.m
     n = grid.N
     rows_total = F.samples.shape[0]
-    profiles = idft_centered(F.samples, F.w_grid.m)
     out = np.zeros(n, dtype=np.complex128)
     windows = _translates(g.samples)[n + n // 2 :: -stride][:rows_total]
     block = max(1, _CHUNK_ELEMENTS // n)
     for start in range(0, rows_total, block):
-        rows = profiles[start : start + block]
+        # one row block at a time, so no copy of the whole symbol is made
+        rows = idft_centered(F.samples[start : start + block], F.w_grid.m)
         rows *= windows[start : start + block]
         out += rows.sum(axis=0)
     return make_signal(grid, F.x_grid.h * out)

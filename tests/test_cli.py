@@ -223,3 +223,59 @@ def test_flags_the_command_uses_are_accepted(args):
 def test_zero_denominator_exponent_exits_2(tmp_path, capsys):
     assert _run(["norm", "--p", "1/0", "--out", str(tmp_path / "n")]) == 2
     assert capsys.readouterr().err.startswith("config error:")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["norm", "--lam", "nan"],
+        ["norm", "--lam", "inf"],
+        ["scan-locop", "--lattice", "0.5", "--margin", "nan"],
+        ["scan-locop", "--lattice", "0.5", "--margin", "inf"],
+        ["scan-locop", "--lattice", "0.5", "--lambdas", "nan 2 4 8 16"],
+        ["scan-locop", "--lattice", "0.5", "--lambdas", "2 4 8 16 inf"],
+    ],
+)
+def test_non_finite_value_exits_2(tmp_path, capsys, args):
+    out = tmp_path / "x"
+    assert _run(args + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not out.exists()
+
+
+def test_non_finite_value_in_a_config_file_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[op]\nlam = nan\n")
+    assert _run(["norm", "--config", str(cfg), "--out", str(tmp_path / "n")]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_scan_stft_rows_samples_and_record_keys(tmp_path):
+    from tfamalgam.grid import as_exponent
+
+    out = tmp_path / "scan"
+    lambdas = (8.0, 16.0, 32.0, 64.0)
+    code = _run(
+        ["scan-stft", "--lattice", "0 1", "--lambdas", " ".join(map(str, lambdas)),
+         "--format", "json", "--out", str(out)]
+    )
+    assert code == 0
+    table = json.loads((out / "scan-stft.json").read_text())
+    summary = json.loads((out / "scan-stft_summary.json").read_text())
+    assert table["columns"] == summary["columns"]
+    assert table["records"] == summary["records"]
+    assert len(summary["records"]) == 4
+    n_probes = 0
+    for rec in summary["records"]:
+        assert list(rec) == summary["columns"]
+        p, q = as_exponent(rec["p"]), as_exponent(rec["q"])
+        chirp_ran = p.value > q.value
+        assert isinstance(rec["slope_a"], float)
+        assert isinstance(rec["slope_b"], float) if chirp_ran else rec["slope_b"] == ""
+        n_probes += 1 + chirp_ran
+    assert n_probes == 5  # the chirp probe runs at (inf, 1) only
+    for rec in summary["sample_records"]:
+        assert list(rec) == summary["sample_columns"]
+    samples = (out / "scan-stft_samples.csv").read_text().splitlines()
+    assert samples[0] == ",".join(summary["sample_columns"])
+    assert len(samples) == 1 + n_probes * (len(lambdas) + 1)

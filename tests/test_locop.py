@@ -390,3 +390,22 @@ def test_fft_kernel_peak_allocation_n1024():
     finally:
         tracemalloc.stop()
     assert peak <= 6 * g.N**2 * 16
+
+
+@pytest.mark.parametrize("stride", [1, 4])
+def test_apply_locop_holds_at_most_two_symbol_sized_arrays(stride):
+    # V_{phi1} f is dropped once weighted and synthesis transforms one row block at a
+    # time, so neither the STFT nor a copy of the weighted symbol outlives its use
+    g = make_grid(4, 256)
+    phi = standard_window(g)
+    x_grid = make_grid(4, 256 // stride)
+    rng = np.random.default_rng(0)
+    a = make_symbol(x_grid, g.dual, rng.standard_normal((x_grid.N, g.N)))
+    f = make_signal(g, rng.standard_normal(g.N))
+    tracemalloc.start()
+    try:
+        apply_locop(a, phi, phi, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * x_grid.N * g.N * 16

@@ -1,0 +1,27 @@
+import importlib.util
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_fit_scaling_laws_exits_1_when_a_fit_is_off(monkeypatch, capsys):
+    script = _load("fit_scaling_laws")
+    real = script.predicted_exponent
+
+    def one_fit_off(claim, **exponents):
+        shift = 1.0 if (claim, exponents) == ("chirp-ft", {"q": 1}) else 0.0
+        return real(claim, **exponents) + shift
+
+    monkeypatch.setattr(script, "predicted_exponent", one_fit_off)
+    assert script.main() == 1
+    lines = capsys.readouterr().out.splitlines()
+    flags = [line.split("]")[0].strip() for line in lines if "[" in line]
+    assert flags.count("[OFF") == 1
+    assert flags.count("[ok") == len(flags) - 1
