@@ -1,0 +1,227 @@
+#!/usr/bin/env python3
+"""Record end-to-end and per-layer timings of a checkout in a BENCH_<n>.json file.
+
+Usage, from the root of a checkout:
+
+    python3 scripts/bench.py --out BENCH_1.json
+    python3 scripts/bench.py --root ../parent --out BENCH_0.json
+
+End to end: ``perfbench/run.py --trace 0`` runs once per workload of
+``BENCHMARK.json`` and per seed (1, 2, 3), each as its own subprocess for the
+``run_seconds`` of ``BENCHMARK.json``; the metrics of its last output line are
+kept, with their median over the seeds.  The Tier-1 suite is timed too.
+
+Layers: one call each of ``sample``, ``dft_centered``, ``stft``,
+``synthesis``, ``apply_locop``, ``amalgam_norm``, ``lp_norm`` and
+``modulation_norm_triebel`` at N = 2048 and 4096, and of ``build_kernel``
+and ``opnorm_l2`` at N = 512 and 1024 (a dense kernel is N^2 and
+``opnorm_l2`` is O(N^3), so N = 4096 would need over a gigabyte).  Each
+timing is the best of 3 calls, each on a fresh frozen input, so
+the cube-table memo of the norms cannot hide their cost.
+
+``--root`` measures another checkout (its ``src/`` and ``perfbench/``) with
+this script.  The record holds that checkout's git SHA, whether its tree
+differs from HEAD, the numpy version, the core count and the BLAS thread
+setting (pinned to 1 for every part).  Only the standard library and numpy
+are used.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import resource
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+SEEDS = (1, 2, 3)
+REPEATS = 3  # layer timings are the best of this many calls
+LAYER_SIZES = (2048, 4096)
+KERNEL_SIZES = (512, 1024)
+
+
+def _best_of(call, make_input, repeats: int) -> float:
+    """Shortest of ``repeats`` timed calls, each on an input built outside the timer."""
+    best = float("inf")
+    for _ in range(repeats):
+        arg = make_input()
+        start = time.perf_counter()
+        call(arg)
+        best = min(best, time.perf_counter() - start)
+        del arg
+    return best
+
+
+def time_layers(sizes=LAYER_SIZES, kernel_sizes=KERNEL_SIZES, repeats: int = REPEATS) -> dict:
+    """Best-of-``repeats`` seconds per layer call, keyed by ``N=<size>`` then layer name."""
+    # the library loads here, after main() has pinned the BLAS threads and put
+    # the measured checkout's src/ first on the path
+    from tfamalgam import (
+        KernelMatrix,
+        amalgam_norm,
+        apply_locop,
+        build_kernel,
+        bump,
+        chirped_gaussian,
+        lp_norm,
+        make_grid,
+        make_signal,
+        max_alias_free_lambda,
+        modulation_norm_triebel,
+        opnorm_l2,
+        phase_space_symbol,
+        sample,
+        sharpness_symbol,
+        standard_window,
+        stft,
+        synthesis,
+    )
+    from tfamalgam.families import SYMBOL_EVALUATORS
+    from tfamalgam.transforms import dft_centered
+
+    out: dict = {}
+    for n in sizes:
+        grid = make_grid(8, n // 8)
+        window = standard_window(grid)
+        f = sample(chirped_gaussian(2.0, 3.0), grid)
+        locop_grid = make_grid(4, n // 4)
+        bump_window = sample(bump(0.0, 1.0), locop_grid)
+        lam = min(16.0, max_alias_free_lambda(locop_grid, 1.0))
+
+        # every input is built afresh outside the timer: a new frozen object has no memo
+        def signal():
+            return make_signal(grid, f.samples.copy())
+
+        def symbol():
+            return stft(f, window)
+
+        layers = {
+            "sample": (lambda spec: sample(spec, grid), lambda: chirped_gaussian(2.0, 3.0)),
+            "dft_centered": (lambda x: dft_centered(x, grid.m), lambda: f.samples.copy()),
+            "stft": (lambda x: stft(x, window), signal),
+            "synthesis": (lambda a: synthesis(a, window), symbol),
+            "apply_locop": (
+                lambda a: apply_locop(a, bump_window, bump_window, bump_window),
+                lambda: sharpness_symbol(bump(0.0, 1.0), lam, locop_grid),
+            ),
+            "amalgam_norm": (lambda a: amalgam_norm(a, 1, 2), symbol),
+            "lp_norm": (lambda a: lp_norm(a, "4/3"), symbol),
+            "modulation_norm_triebel": (lambda x: modulation_norm_triebel(x, 2, 1), signal),
+        }
+        out[f"N={n}"] = {name: _best_of(call, make, repeats) for name, (call, make) in layers.items()}
+    for n in kernel_sizes:
+        grid = make_grid(8, n // 8)
+        window = standard_window(grid)
+
+        def gaussian_symbol():
+            return phase_space_symbol(grid, SYMBOL_EVALUATORS["gaussian"])
+
+        entries = build_kernel(gaussian_symbol(), window, window).entries
+        timings = out.setdefault(f"N={n}", {})
+        timings["build_kernel"] = _best_of(lambda a: build_kernel(a, window, window), gaussian_symbol, repeats)
+        timings["opnorm_l2"] = _best_of(opnorm_l2, lambda: KernelMatrix(grid, entries.copy()), repeats)
+        del entries
+    return out
+
+
+def run_workloads(root: Path, workloads, seeds, seconds: float) -> dict:
+    """Untraced perfbench runs, one subprocess per workload and seed."""
+    out = {}
+    for name in workloads:
+        runs = []
+        for seed in seeds:
+            cmd = [sys.executable, "perfbench/run.py", "--workload", name, "--seed", str(seed),
+                   "--seconds", str(seconds), "--trace", "0"]
+            proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=False)
+            lines = proc.stdout.strip().splitlines()
+            if proc.returncode != 0 or not lines:
+                raise RuntimeError(f"{' '.join(cmd)} exited {proc.returncode}: {proc.stderr.strip()}")
+            result = json.loads(lines[-1])
+            metrics = {k: m["value"] for k, m in result["metrics"].items()}
+            runs.append({"seed": seed, "correct": result["correct"], "attempted": result["attempted"],
+                         "failed": result["failed"], "metrics": metrics})
+        median = {k: statistics.median(r["metrics"][k] for r in runs) for k in runs[0]["metrics"]}
+        out[name] = {"runs": runs, "median": median}
+    return out
+
+
+def run_tier1(root: Path) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"],
+                          cwd=root, env=env, capture_output=True, text=True, check=False)
+    lines = proc.stdout.strip().splitlines()
+    return {"wall_s": time.perf_counter() - start, "exit_code": proc.returncode,
+            "summary": lines[-1] if lines else ""}
+
+
+def _git(root: Path, *args) -> str | None:
+    try:
+        proc = subprocess.run(["git", *args], cwd=root, capture_output=True, text=True, check=True)
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    return proc.stdout.strip()
+
+
+def environment(root: Path) -> dict:
+    import numpy as np
+    import tfamalgam
+
+    if Path(tfamalgam.__file__).resolve().parent != (root / "src" / "tfamalgam").resolve():
+        raise RuntimeError(f"imported tfamalgam from {tfamalgam.__file__}, not from {root}")
+
+    digest = hashlib.sha256()
+    for path in sorted((root / "src" / "tfamalgam").glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    status = _git(root, "status", "--porcelain", "--untracked-files=no")
+    return {
+        "git_sha": _git(root, "rev-parse", "HEAD"),
+        "git_dirty": None if status is None else bool(status),
+        "src_sha256": digest.hexdigest(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "cores": os.cpu_count(),
+        "affinity": len(os.sched_getaffinity(0)),
+        "blas_threads": {k: os.environ.get(k) for k in BLAS_THREAD_VARS},
+    }
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--out", required=True, help="the BENCH_<n>.json file to write")
+    ap.add_argument("--root", default=str(ROOT), help="checkout to measure (default: this one)")
+    args = ap.parse_args(argv)
+
+    root = Path(args.root).resolve()
+    benchmark = json.loads((root / "BENCHMARK.json").read_text())
+    for var in BLAS_THREAD_VARS:
+        os.environ[var] = "1"
+    sys.path.insert(0, str(root / "src"))
+
+    record = {"environment": environment(root), "seeds": SEEDS, "seconds": benchmark["run_seconds"],
+              "layer_repeats": REPEATS}
+    record["tier1"] = run_tier1(root)
+    record["workloads"] = run_workloads(
+        root, [w["name"] for w in benchmark["workloads"]], SEEDS, benchmark["run_seconds"]
+    )
+    record["layers_s"] = time_layers()
+    record["layers_peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
+    print(f"tier1 {record['tier1']['wall_s']:.1f} s: {record['tier1']['summary']}")
+    for name, wl in record["workloads"].items():
+        print(f"{name:16s} pass_s {wl['median']['pass_s']:.4g}  peak_rss_mb {wl['median']['peak_rss_mb']:.4g}")
+    for size, layers in record["layers_s"].items():
+        print(size, " ".join(f"{k}={v:.4g}" for k, v in layers.items()))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

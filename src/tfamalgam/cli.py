@@ -222,6 +222,8 @@ def build_config(argv) -> RunConfig:
         raise ConfigError(f"unknown output format {cfg.format!r}")
     if cfg.lattice is not None and any(not 0.0 <= v <= 1.0 for v in cfg.lattice):
         raise ConfigError("lattice values are reciprocal exponents and must lie in [0, 1]")
+    if cfg.lattice is not None and len(set(cfg.lattice)) != len(cfg.lattice):
+        raise ConfigError(f"lattice values must not repeat, got {' '.join(map(str, cfg.lattice))}")
     if cfg.lambdas is not None and (
         any(v <= 0 for v in cfg.lambdas) or list(cfg.lambdas) != sorted(cfg.lambdas)
     ):

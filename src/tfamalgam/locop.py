@@ -15,7 +15,7 @@ round-off; the kernel route feeds the Schur-type bounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .grid import (
     make_symbol,
 )
 from .norms import lp_norm
-from .transforms import StftPlan, _translates, dft_centered, stft, synthesis
+from .transforms import StftPlan, _nonzero_row_runs, _translates, dft_centered, stft, synthesis
 
 _POWER_ITER_CAP = 5000
 
@@ -45,19 +45,32 @@ def _check_operator_shapes(a: SampledSymbol, phi1: SampledSignal, phi2: SampledS
     return StftPlan(grid, grid.m // a.x_grid.m)
 
 
+def _symbol_rows_plan(a: SampledSymbol, phi1: SampledSignal, phi2: SampledSignal) -> StftPlan:
+    """The operator's STFT layout, restricted to the rows where the symbol is nonzero."""
+    return replace(_check_operator_shapes(a, phi1, phi2), rows=_nonzero_row_runs(a.samples))
+
+
 def apply_locop(
     a: SampledSymbol,
     phi1: SampledSignal,
     phi2: SampledSignal,
     f: SampledSignal,
 ) -> SampledSignal:
-    """Apply the localization operator with symbol ``a`` and windows (phi1, phi2)."""
-    plan = _check_operator_shapes(a, phi1, phi2)
+    """Apply the localization operator with symbol ``a`` and windows (phi1, phi2).
+
+    Rows where ``a`` vanishes add nothing, so they are neither transformed nor
+    synthesised.
+    """
+    plan = _symbol_rows_plan(a, phi1, phi2)
     if f.grid != plan.grid:
         raise ValueError("input signal grid does not match the windows")
+    v = stft(f, phi1, plan).samples
+    weighted = np.zeros(v.shape, dtype=v.dtype)
+    for start, stop in plan.rows:
+        np.multiply(a.samples[start:stop], v[start:stop], out=weighted[start:stop])
     # V_{phi1} f is dropped once weighted, so it is not held while synthesis runs
-    weighted = make_symbol(a.x_grid, a.w_grid, a.samples * stft(f, phi1, plan).samples)
-    return synthesis(weighted, phi2)
+    del v
+    return synthesis(make_symbol(a.x_grid, a.w_grid, weighted), phi2)
 
 
 def weak_pairing(
@@ -69,9 +82,10 @@ def weak_pairing(
 ) -> complex:
     """Phase-space quadrature of a * V_{phi1} f * conj(V_{phi2} g).
 
-    Equals <A f, g> exactly (same sum re-associated).
+    Equals <A f, g> exactly (same sum re-associated).  Both STFTs skip the
+    rows where ``a`` vanishes.
     """
-    plan = _check_operator_shapes(a, phi1, phi2)
+    plan = _symbol_rows_plan(a, phi1, phi2)
     if f.grid != plan.grid or g.grid != plan.grid:
         raise ValueError("signal grids do not match the windows")
     v1 = stft(f, phi1, plan).samples
@@ -121,10 +135,13 @@ def build_kernel(a: SampledSymbol, phi1: SampledSignal, phi2: SampledSignal) -> 
     grid, stride = plan.grid, plan.x_stride
     n = grid.N
     half, nx = n // 2, a.x_grid.N
-    # row v: the FT of a in its second variable at value index v, along j
-    a2 = np.ascontiguousarray(dft_centered(a.samples, a.w_grid.m).T)
-    a2_nonzero = a2 != 0
-    np.fft.fft(a2, axis=-1, out=a2)
+    # row v: the FT of a in its second variable at value index v, along j; the
+    # FFT reads the transposed view, so no transposed copy is made
+    a_w = dft_centered(a.samples, a.w_grid.m)
+    a2_nonzero = (a_w != 0).T
+    a2 = np.empty((n, nx), dtype=np.complex128)
+    np.fft.fft(a_w.T, axis=-1, out=a2)
+    del a_w
     a2 *= a.x_grid.h
     # row v of U is U_v, built from the translates of conj(phi1)
     U = _translates(np.conj(phi1.samples))[:n] * np.roll(phi2.samples, -half)

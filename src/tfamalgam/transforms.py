@@ -42,7 +42,7 @@ def _center_sign(n: int) -> float:
 def _centered_fft(x: np.ndarray, scale: float, transform) -> np.ndarray:
     """In place along the last axis: x <- scale * s * transform(s * x), s = (-1)^j.
 
-    Working in place keeps block-sized temporaries out of the transform loops.
+    ``stft`` and ``synthesis`` fold these passes into their own loops instead.
     """
     s = _alternating(x.shape[-1])
     x *= s
@@ -77,24 +77,53 @@ def inverse_fourier(f: SampledSignal) -> SampledSignal:
 
 @dataclass(frozen=True)
 class StftPlan:
-    """Column layout for the STFT: keep every ``x_stride``-th time position.
+    """Row layout for the STFT: keep every ``x_stride``-th time position.
 
     The stride must divide the sample density so every unit cube still holds a
-    whole number of retained columns.
+    whole number of retained rows.  ``rows`` restricts the transform to some of
+    those time rows: a tuple of sorted, disjoint, non-empty ``(start, stop)``
+    runs inside ``[0, N // x_stride)``, or None for all.  Rows outside the runs
+    are exact zeros in the STFT.
     """
 
     grid: Grid1D
     x_stride: int = 1
+    rows: tuple[tuple[int, int], ...] | None = None
 
     def __post_init__(self):
         if self.x_stride < 1 or self.grid.m % self.x_stride:
             raise ValueError(
                 f"x_stride {self.x_stride} must be a positive divisor of m={self.grid.m}"
             )
+        if self.rows is None:
+            return
+        runs = tuple((int(start), int(stop)) for start, stop in self.rows)
+        nx = self.shape[0]
+        end = 0
+        for start, stop in runs:
+            if not end <= start < stop <= nx:
+                raise ValueError(
+                    f"row runs {runs} must be sorted, disjoint, non-empty and inside [0, {nx})"
+                )
+            end = stop
+        object.__setattr__(self, "rows", runs)
 
     @property
     def shape(self) -> tuple[int, int]:
         return (self.grid.N // self.x_stride, self.grid.N)
+
+
+def _nonzero_row_runs(samples: np.ndarray) -> tuple[tuple[int, int], ...]:
+    """The (start, stop) runs of the rows of ``samples`` that hold a nonzero entry."""
+    edges = np.flatnonzero(np.diff(samples.any(axis=1), prepend=False, append=False))
+    return tuple(zip(edges[::2].tolist(), edges[1::2].tolist()))
+
+
+def _chunks(runs, block: int):
+    """Slices of at most ``block`` rows covering each run in turn."""
+    for start, stop in runs:
+        for lo in range(start, stop, block):
+            yield slice(lo, min(lo + block, stop))
 
 
 def _translates(g: np.ndarray) -> np.ndarray:
@@ -112,33 +141,39 @@ def stft(f: SampledSignal, g: SampledSignal, plan: StftPlan | None = None) -> Sa
     """Short-time Fourier transform V_g f on the phase-space lattice.
 
     Column x_j holds the centered DFT of t -> f(t) conj(g(t - x_j)) with
-    circular windowing; this matches the direct quadrature sum exactly.
+    circular windowing; this matches the direct quadrature sum exactly.  Only
+    the rows in ``plan.rows`` are transformed; every other row is exact zero.
     """
     if f.grid != g.grid:
         raise ValueError("stft requires signal and window on the same grid")
     grid = f.grid
-    if plan is not None and plan.grid != grid:
+    if plan is None:
+        plan = StftPlan(grid)
+    elif plan.grid != grid:
         raise ValueError("plan was built for a different grid")
-    stride = plan.x_stride if plan is not None else 1
     n = grid.N
-    nx = n // stride
-    out = np.empty((nx, n), dtype=np.complex128)
-    fs = f.samples
-    windows = _translates(np.conj(g.samples))[n + n // 2 :: -stride][:nx]
-    block = max(1, _CHUNK_ELEMENTS // n)
-    scale = _center_sign(n) / grid.m
-    for start in range(0, nx, block):
-        rows = out[start : start + block]
-        np.multiply(fs, windows[start : start + block], out=rows)
-        _centered_fft(rows, scale, np.fft.fft)
-    return make_symbol(Grid1D(grid.L, grid.m // stride), grid.dual, out)
+    nx = plan.shape[0]
+    runs = ((0, nx),) if plan.rows is None else plan.rows
+    out = np.zeros((nx, n), dtype=np.complex128)
+    s = _alternating(n)
+    # the pre-sign and the scale +-1/m fold into the signal once; both are exact
+    # when m is a power of two, so the result is the same as signing each row
+    fs = f.samples * (s * (_center_sign(n) / grid.m))
+    windows = _translates(np.conj(g.samples))[n + n // 2 :: -plan.x_stride][:nx]
+    for rows in _chunks(runs, max(1, _CHUNK_ELEMENTS // n)):
+        block = out[rows]
+        np.multiply(fs, windows[rows], out=block)
+        np.fft.fft(block, axis=-1, out=block)
+        block *= s
+    return make_symbol(Grid1D(grid.L, grid.m // plan.x_stride), grid.dual, out)
 
 
 def synthesis(F: SampledSymbol, g: SampledSignal) -> SampledSignal:
     """Adjoint-side phase-space sum: out = sum_{j,k} F(x_j,w_k) M_{w_k} T_{x_j} g * cell.
 
     The quadrature cell is (x-step) * (frequency step); with F = stft(f, g) at
-    full stride this inverts the STFT up to the factor ||g||_2^2.
+    full stride this inverts the STFT up to the factor ||g||_2^2.  Rows of F
+    that are all zero add nothing and are skipped.
     """
     grid = g.grid
     if F.w_grid != grid.dual:
@@ -147,16 +182,23 @@ def synthesis(F: SampledSymbol, g: SampledSignal) -> SampledSignal:
         raise ValueError("symbol time axis is not a sublattice of the window grid")
     stride = grid.m // F.x_grid.m
     n = grid.N
-    rows_total = F.samples.shape[0]
+    runs = _nonzero_row_runs(F.samples)
     out = np.zeros(n, dtype=np.complex128)
-    windows = _translates(g.samples)[n + n // 2 :: -stride][:rows_total]
+    windows = _translates(g.samples)[n + n // 2 :: -stride][: F.samples.shape[0]]
+    s = _alternating(n)
     block = max(1, _CHUNK_ELEMENTS // n)
-    for start in range(0, rows_total, block):
-        # one row block at a time, so no copy of the whole symbol is made
-        rows = idft_centered(F.samples[start : start + block], F.w_grid.m)
-        rows *= windows[start : start + block]
-        out += rows.sum(axis=0)
-    return make_signal(grid, F.x_grid.h * out)
+    longest = max((stop - start for start, stop in runs), default=0)
+    # one reused buffer: each run is signed while it is copied in, transformed in place
+    buf = np.empty((min(block, longest), n), dtype=np.complex128)
+    for rows in _chunks(runs, block):
+        work = buf[: rows.stop - rows.start]
+        np.multiply(F.samples[rows], s, out=work)
+        np.fft.ifft(work, axis=-1, out=work)
+        work *= windows[rows]
+        out += work.sum(axis=0)
+    # the post-sign and the scale are the same for every row: apply them to the sum
+    out *= s * (_center_sign(n) * n / F.w_grid.m * F.x_grid.h)
+    return make_signal(grid, out)
 
 
 def gaussian_stft_oracle(lam: float, x, omega):

@@ -279,3 +279,23 @@ def test_scan_stft_rows_samples_and_record_keys(tmp_path):
     samples = (out / "scan-stft_samples.csv").read_text().splitlines()
     assert samples[0] == ",".join(summary["sample_columns"])
     assert len(samples) == 1 + n_probes * (len(lambdas) + 1)
+
+
+@pytest.mark.parametrize("command", ["scan-locop", "scan-locop-lq", "scan-stft"])
+@pytest.mark.parametrize("lattice", ["0.5 0.5", "0 0.5 1 0.5", "1 1.0"])
+def test_repeated_lattice_value_exits_2(tmp_path, capsys, command, lattice):
+    # a repeated value would scan and report the same lattice point more than once
+    out = tmp_path / "x"
+    assert _run([command, "--lattice", lattice, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "lattice" in err
+    assert not out.exists()
+
+
+def test_repeated_lattice_value_in_a_config_file_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[scan]\nlattice = 0 0.5 0.5\n")
+    assert _run(["scan-locop", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    with pytest.raises(ConfigError):
+        build_config(["scan-stft", "--config", str(cfg)])

@@ -25,3 +25,15 @@ def test_fit_scaling_laws_exits_1_when_a_fit_is_off(monkeypatch, capsys):
     flags = [line.split("]")[0].strip() for line in lines if "[" in line]
     assert flags.count("[OFF") == 1
     assert flags.count("[ok") == len(flags) - 1
+
+
+def test_bench_layer_timer_runs_at_a_tiny_size():
+    bench = _load("bench")
+    timings = bench.time_layers(sizes=(64,), kernel_sizes=(32,), repeats=1)
+    assert set(timings) == {"N=64", "N=32"}
+    assert set(timings["N=64"]) == {
+        "sample", "dft_centered", "stft", "synthesis", "apply_locop",
+        "amalgam_norm", "lp_norm", "modulation_norm_triebel",
+    }
+    assert set(timings["N=32"]) == {"build_kernel", "opnorm_l2"}
+    assert all(0.0 < t < 60.0 for layer in timings.values() for t in layer.values())
