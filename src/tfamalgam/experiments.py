@@ -45,7 +45,7 @@ from .locop import (
     schur_report,
     weak_pairing,
 )
-from .norms import amalgam_norm, flp_norm, lp_norm, standard_window, unit_standard_window
+from .norms import _fill_cube_tables, amalgam_norm, flp_norm, lp_norm, standard_window, unit_standard_window
 from .transforms import fourier, gaussian_stft_symbol, inverse_fourier, stft, synthesis
 
 _REGION_TOL = 1e-12
@@ -273,6 +273,7 @@ def scan_stft(points, settings: StftScanSettings | None = None) -> list[RegionVe
     for li, lam in enumerate(lams_a):
         phil = sample(gaussian_family(lam), settings.smooth_grid)
         v = stft(phil, window_a)
+        _fill_cube_tables(v, [p for p, _ in pts])
         for pi, (p, q) in enumerate(pts):
             vals_a[pi, li] = amalgam_norm(v, p, q) / amalgam_norm(phil, p, q)
         del v
@@ -281,6 +282,7 @@ def scan_stft(points, settings: StftScanSettings | None = None) -> list[RegionVe
         for li, lam in enumerate(lams_b):
             h_lam = sample(chirp_family(profile, lam), settings.chirp_grid)
             v = stft(h_lam, window_b)
+            _fill_cube_tables(v, [q for (_, q), run in zip(pts, runs_b) if run])
             for pi, (p, q) in enumerate(pts):
                 if runs_b[pi]:
                     vals_b[pi, li] = lp_norm(v, q) / amalgam_norm(h_lam, p, q)

@@ -21,7 +21,7 @@ from .grid import (
     max_alias_free_lambda,
     sample,
 )
-from .transforms import inverse_fourier
+from .transforms import _nonzero_row_runs, inverse_fourier
 
 __all__ = [
     "WindowSpec",
@@ -150,10 +150,13 @@ def sharpness_symbol(profile: WindowSpec, lam: float, grid: Grid1D) -> SampledSy
             f"lam={lam} exceeds the alias-free bound "
             f"{max_alias_free_lambda(grid, radius):g} on grid (L={grid.L}, m={grid.m})"
         )
-    h_sig = sample(profile, grid)
-    h_lam = sample(chirp_family(profile, lam), grid)
-    freq_factor = inverse_fourier(h_lam)
-    return make_symbol(grid, grid.dual, np.outer(h_sig.samples, freq_factor.samples))
+    h = sample(profile, grid).samples
+    freq = inverse_fourier(sample(chirp_family(profile, lam), grid)).samples
+    # the rows outside supp h stay zero; the others are the products np.outer makes
+    out = np.zeros((h.size, freq.size), dtype=np.complex128)
+    for start, stop in _nonzero_row_runs(h[:, None]):
+        np.multiply(h[start:stop, None], freq, out=out[start:stop])
+    return make_symbol(grid, grid.dual, out)
 
 
 _CLAIMS = {

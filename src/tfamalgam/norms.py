@@ -23,7 +23,7 @@ from .grid import (
     make_signal,
 )
 from .families import bump
-from .transforms import fourier, idft_centered, inverse_fourier, stft
+from .transforms import _CHUNK_ELEMENTS, _each, fourier, idft_centered, inverse_fourier, stft
 
 #: norm kind -> number of exponents it takes
 NORM_ARITY = {
@@ -91,69 +91,101 @@ _TINY_OVER_EPS = np.finfo(float).tiny / np.finfo(float).eps
 _SUP = ExtendedExponent(INFINITY)
 
 
-def _scaled_root(reduce, p: ExtendedExponent) -> np.ndarray:
-    """(sum |x|^p)^(1/p) per output (max |x| for p = inf).
+def _roots(tiles: np.ndarray, exponents) -> list[np.ndarray]:
+    """(sum |x|^p)^(1/p) over each cube of a 4-D cube view, for each p (max |x| for p = inf).
 
-    ``reduce(e, scale)`` gives, per output, the sum of (|x| / scale)^e (the
-    max of |x| for e = inf); ``scale`` is None or holds one value per output.
-    The plain sums run first; if any overflows, or the largest one underflows,
-    they are recomputed on |x| divided by its max per output (Blue's scaling,
-    as in LAPACK dnrm2), so the result stays finite and homogeneous far
-    beyond the amplitudes where |x|^p leaves the float range.
+    One pass of ``_tile_reduce`` gives the plain sums for every exponent.  A p
+    whose sums overflow, or whose largest sum underflows, is recomputed on |x|
+    divided by its max per cube (Blue's scaling, as in LAPACK dnrm2), so the
+    result stays finite and homogeneous far beyond the amplitudes where |x|^p
+    leaves the float range.
     """
-    if p.is_inf or p.value == 1.0:
-        return reduce(p, None)
+    if all(p.is_inf or p.value == 1.0 for p in exponents):
+        return _tile_reduce(tiles, exponents)
     with np.errstate(over="ignore", under="ignore"):
-        sums = reduce(p, None)
-        if _TINY_OVER_EPS <= sums.max() < INFINITY:
-            return sums ** (1.0 / p.value)
-        scale = reduce(_SUP, None)
-        scale = np.where((scale > 0.0) & (scale < INFINITY), scale, 1.0)
-        return reduce(p, scale) ** (1.0 / p.value) * scale
+        tables = _tile_reduce(tiles, exponents)
+        scale = None
+        for k, p in enumerate(exponents):
+            if p.is_inf or p.value == 1.0:
+                continue
+            if _TINY_OVER_EPS <= tables[k].max() < INFINITY:
+                tables[k] = tables[k] ** (1.0 / p.value)
+                continue
+            if scale is None:
+                scale = _tile_reduce(tiles, (_SUP,))[0]
+                scale = np.where((scale > 0.0) & (scale < INFINITY), scale, 1.0)
+            tables[k] = _tile_reduce(tiles, (p,), scale)[0] ** (1.0 / p.value) * scale
+    return tables
 
 
-def _tile_reduce(tiles: np.ndarray, p: ExtendedExponent, scale=None) -> np.ndarray:
-    """Sum of |x|^p (max of |x| for p = inf) over each cube of a 4-D cube view.
+def _tile_reduce(tiles: np.ndarray, exponents, scale=None) -> list[np.ndarray]:
+    """Per cube of a 4-D cube view, the sum of |x|^p for each p (the max of |x| for p = inf).
 
     ``tiles`` is (time cube, row in cube, frequency cube, column in cube);
     ``scale``, one value per cube, divides |x| first.  A view of at most
     ``_BLOCK`` elements is reduced in one go; a larger one in blocks of at
     most ``_BLOCK`` elements that never straddle a row of cubes (whole rows of
     cubes when they fit, else runs of rows within one), so the temporaries
-    stay in cache.
+    stay in cache.  Bands of rows of cubes, about ``_CHUNK_ELEMENTS`` elements
+    each, are the tasks of ``_each``, so a view no larger than one band is
+    reduced inline.  The blocks are the same whatever the bands, so the sums
+    do not depend on the CPU count.
     """
     if tiles.size <= _BLOCK:
-        return _block_reduce(tiles, p, scale)
+        return _block_reduce(tiles, exponents, scale)
     n_rows, tile_rows, n_cols, tile_cols = tiles.shape
     row = n_cols * tile_cols
-    reduce = np.maximum if p.is_inf else np.add
-    table = np.empty((n_rows, n_cols))
     band = max(1, _BLOCK // (tile_rows * row))  # rows of cubes per block
     step = min(tile_rows, max(1, _BLOCK // row))  # rows per block within a row of cubes
-    for i in range(0, n_rows, band):
-        out = table[i : i + band]
-        part_scale = None if scale is None else scale[i : i + band]
-        out[...] = _block_reduce(tiles[i : i + band, :step], p, part_scale)
-        for r in range(step, tile_rows, step):
-            reduce(out, _block_reduce(tiles[i : i + band, r : r + step], p, part_scale), out=out)
-    return table
+    task = band * max(1, _CHUNK_ELEMENTS // (band * tile_rows * row))  # rows of cubes per task
+    tables = [np.empty((n_rows, n_cols)) for _ in exponents]
+
+    def reduce_band(start: int) -> None:
+        for i in range(start, min(start + task, n_rows), band):
+            outs = [table[i : i + band] for table in tables]
+            part_scale = None if scale is None else scale[i : i + band]
+            for out, part in zip(outs, _block_reduce(tiles[i : i + band, :step], exponents, part_scale)):
+                out[...] = part
+            for r in range(step, tile_rows, step):
+                parts = _block_reduce(tiles[i : i + band, r : r + step], exponents, part_scale)
+                for p, out, part in zip(exponents, outs, parts):
+                    (np.maximum if p.is_inf else np.add)(out, part, out=out)
+
+    _each(reduce_band, range(0, n_rows, task))
+    return tables
 
 
-def _block_reduce(block: np.ndarray, p: ExtendedExponent, scale) -> np.ndarray:
-    # reduce over the rows in each cube first, along contiguous memory, then
-    # over the short runs of columns
+def _block_reduce(block: np.ndarray, exponents, scale) -> list[np.ndarray]:
+    """Per cube of a 4-D block, the sum of (|x| / scale)^p for each p (the max for p = inf).
+
+    |x| is taken once for every exponent.  p = 2 is one square, as ``**`` does
+    it, and p = 4 squares the squares: ``**`` is much slower there, most of
+    all where the powers are subnormal.
+    """
     a = np.abs(block)
     if scale is not None:
         a /= scale[:, None, :, None]
-    if not (p.is_inf or p.value == 1.0):
-        a **= p.value
-    reduce = np.maximum.reduce if p.is_inf else np.add.reduce
-    return reduce(reduce(a, axis=1) if a.shape[1] > 1 else a[:, 0], axis=2)
+    squares = None
+    sums = []
+    for p in exponents:
+        if p.is_inf or p.value == 1.0:
+            x = a
+        elif p.value in (2.0, 4.0):
+            if squares is None:
+                squares = np.square(a)
+            x = squares if p.value == 2.0 else np.square(squares)
+        else:
+            x = a**p.value
+        # reduce over the rows in each cube first, along contiguous memory, then
+        # over the short runs of columns
+        reduce = np.maximum.reduce if p.is_inf else np.add.reduce
+        sums.append(reduce(reduce(x, axis=1) if x.shape[1] > 1 else x[:, 0], axis=2))
+    return sums
 
 
 def _root(tiles: np.ndarray, p: ExtendedExponent) -> np.ndarray:
     """Unweighted local L^p norm (sum |x|^p)^(1/p) of each cube of a 4-D view, overflow-safe."""
-    return _scaled_root(lambda e, scale: _tile_reduce(tiles, e, scale), p)
+    return _roots(tiles, (p,))[0]
 
 
 def _sequence_norm(values: np.ndarray, q: ExtendedExponent) -> float:
@@ -192,24 +224,30 @@ def _frozen(a: np.ndarray) -> bool:
     return False
 
 
-def _cube_table(f, p: ExtendedExponent) -> np.ndarray:
-    """Unweighted local L^p norm (sum |f|^p)^(1/p) of each unit cube; max |f| for p = inf.
+def _fill_cube_tables(f, exponents) -> list[np.ndarray]:
+    """Unweighted local L^p norm (sum |f|^p)^(1/p) of each unit cube, for each p; max |f| for p = inf.
 
-    One blocked pass computes the plain sums; only if they leave the float
-    range do two more take the per-cube max and rescale (``_scaled_root``).
-    The table is memoised per exponent on the instance, read-only, when no
+    The exponents not yet in the memo share one blocked pass (``_roots``); only
+    one whose sums leave the float range takes two more passes to rescale.
+    The tables are memoised per exponent on the instance, read-only, when no
     writable array shares the samples' memory (every ``make_signal`` or
     ``make_symbol`` result made from a fresh array), so norms that share a
-    local exponent share the pass.
+    local exponent share the pass, and a caller that knows every exponent it
+    will ask for can fill their tables in one pass over the samples.
     """
     tiles, _ = _cubes(f)
     memo = f.__dict__.setdefault("_cube_tables", {}) if _frozen(f.samples) else {}
-    table = memo.get(p.value)
-    if table is None:
-        table = _root(tiles, p)
-        table.flags.writeable = False
-        memo[p.value] = table
-    return table
+    missing = list({p.value: p for p in exponents if p.value not in memo}.values())
+    if missing:
+        for p, table in zip(missing, _roots(tiles, missing)):
+            table.flags.writeable = False
+            memo[p.value] = table
+    return [memo[p.value] for p in exponents]
+
+
+def _cube_table(f, p: ExtendedExponent) -> np.ndarray:
+    """The local L^p table of ``f`` (see ``_fill_cube_tables``)."""
+    return _fill_cube_tables(f, (p,))[0]
 
 
 def _amalgam(f, p: ExtendedExponent, q: ExtendedExponent) -> float:

@@ -12,6 +12,9 @@ the identity.
 
 from __future__ import annotations
 
+import contextvars
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +29,34 @@ from .grid import (
 )
 
 _CHUNK_ELEMENTS = 1 << 21  # rows are processed in blocks of about this many samples
+
+
+def _workers() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _each(fn, items) -> None:
+    """Call ``fn`` on every item, the calls spread over one thread per CPU.
+
+    The pool lives for this call only.  Each call runs in a copy of the
+    caller's context, so an enclosing ``np.errstate`` holds in the workers
+    too.  With one item or one CPU the calls run inline, in order.  The calls
+    must write disjoint outputs and call no public function of the library.
+    """
+    items = list(items)
+    workers = min(len(items), _workers())
+    if workers <= 1:
+        for item in items:
+            fn(item)
+        return
+    with ThreadPoolExecutor(workers) as pool:
+        futures = [pool.submit(contextvars.copy_context().run, fn, item) for item in items]
+        for future in futures:
+            future.result()
 
 
 def _alternating(n: int) -> np.ndarray:
@@ -143,6 +174,8 @@ def stft(f: SampledSignal, g: SampledSignal, plan: StftPlan | None = None) -> Sa
     Column x_j holds the centered DFT of t -> f(t) conj(g(t - x_j)) with
     circular windowing; this matches the direct quadrature sum exactly.  Only
     the rows in ``plan.rows`` are transformed; every other row is exact zero.
+    The rows go in slices of at most ``_CHUNK_ELEMENTS`` samples, each slice
+    one task of ``_each``, so the result does not depend on the CPU count.
     """
     if f.grid != g.grid:
         raise ValueError("stft requires signal and window on the same grid")
@@ -160,11 +193,14 @@ def stft(f: SampledSignal, g: SampledSignal, plan: StftPlan | None = None) -> Sa
     # when m is a power of two, so the result is the same as signing each row
     fs = f.samples * (s * (_center_sign(n) / grid.m))
     windows = _translates(np.conj(g.samples))[n + n // 2 :: -plan.x_stride][:nx]
-    for rows in _chunks(runs, max(1, _CHUNK_ELEMENTS // n)):
+
+    def transform(rows: slice) -> None:
         block = out[rows]
         np.multiply(fs, windows[rows], out=block)
         np.fft.fft(block, axis=-1, out=block)
         block *= s
+
+    _each(transform, _chunks(runs, max(1, _CHUNK_ELEMENTS // n)))
     return make_symbol(Grid1D(grid.L, grid.m // plan.x_stride), grid.dual, out)
 
 

@@ -1,0 +1,174 @@
+"""Row bands on a thread pool: STFT row chunks, cube-table bands, fused tables.
+
+The worker count and the band sizes are patched, so small inputs span
+several tasks and the threaded path runs whatever the CPU count here.  Every
+threaded result must be bit-identical to the single-worker one.
+"""
+
+import threading
+import warnings
+
+import numpy as np
+import pytest
+
+from tfamalgam import families, norms, transforms
+from tfamalgam.families import bump, chirp_family, gaussian_family, sharpness_symbol
+from tfamalgam.grid import as_exponent, make_grid, make_symbol, sample
+from tfamalgam.norms import _cube_table, _fill_cube_tables, standard_window
+from tfamalgam.transforms import StftPlan, _each, stft
+
+EXPONENTS = [as_exponent(p) for p in ("1", "4/3", "2", "4", "inf")]
+GRID = make_grid(4, 32)  # N = 128: the STFT has 4 rows of cubes of 4096 samples
+
+
+@pytest.fixture
+def small_bands(monkeypatch):
+    """Tasks of 4096 samples and cube-table blocks of 1024, so a 128 x 128 symbol spans 4 tasks."""
+    monkeypatch.setattr(transforms, "_CHUNK_ELEMENTS", 1 << 12)
+    monkeypatch.setattr(norms, "_CHUNK_ELEMENTS", 1 << 12)
+    monkeypatch.setattr(norms, "_BLOCK", 1 << 10)
+
+    def use(workers):
+        monkeypatch.setattr(transforms, "_workers", lambda: workers)
+
+    return use
+
+
+def _probe(grid=GRID):
+    return stft(sample(chirp_family(bump(0.0, 1.0), 3.0), grid), standard_window(grid))
+
+
+def _fresh_tables(f, exponents):
+    """Tables of a copy of ``f``, so no memo from an earlier call is read."""
+    return _fill_cube_tables(make_symbol(f.x_grid, f.w_grid, f.samples), exponents)
+
+
+def test_each_calls_every_item_once_and_inline_without_a_second_worker(monkeypatch):
+    seen = []
+
+    def record(item):
+        seen.append((item, threading.get_ident()))
+
+    monkeypatch.setattr(transforms, "_workers", lambda: 1)
+    _each(record, range(5))
+    assert seen == [(i, threading.get_ident()) for i in range(5)]
+
+    seen.clear()
+    monkeypatch.setattr(transforms, "_workers", lambda: 2)
+    _each(record, [7])
+    assert seen == [(7, threading.get_ident())]
+
+    seen.clear()
+    _each(record, range(40))
+    assert sorted(item for item, _ in seen) == list(range(40))
+
+
+def test_each_raises_the_error_of_a_task(monkeypatch):
+    monkeypatch.setattr(transforms, "_workers", lambda: 2)
+
+    def fail_on_three(item):
+        if item == 3:
+            raise ValueError("task 3")
+
+    with pytest.raises(ValueError, match="task 3"):
+        _each(fail_on_three, range(6))
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("rows", [None, ((0, 5), (9, 40), (50, 64))])
+def test_stft_is_bit_identical_for_any_worker_count(small_bands, stride, rows):
+    f = sample(chirp_family(bump(0.0, 1.0), 3.0), GRID)
+    g = standard_window(GRID)
+    plan = StftPlan(GRID, stride, rows)
+    small_bands(1)
+    serial = stft(f, g, plan).samples
+    small_bands(2)
+    threaded = stft(f, g, plan).samples
+    assert np.array_equal(serial, threaded)
+    assert np.abs(threaded).max() > 0.0
+
+
+def test_cube_tables_are_bit_identical_for_any_worker_count(small_bands):
+    small_bands(1)
+    v = _probe()
+    serial = _fresh_tables(v, EXPONENTS)
+    small_bands(2)
+    threaded = _fresh_tables(v, EXPONENTS)
+    for a, b in zip(serial, threaded):
+        assert np.array_equal(a, b)
+
+
+def test_cube_tables_do_not_depend_on_the_band_size(monkeypatch, small_bands):
+    small_bands(2)
+    v = _probe()
+    banded = _fresh_tables(v, EXPONENTS)
+    monkeypatch.setattr(norms, "_CHUNK_ELEMENTS", 1 << 21)  # one band: reduced inline
+    whole = _fresh_tables(v, EXPONENTS)
+    for a, b in zip(whole, banded):
+        assert np.array_equal(a, b)
+
+
+def test_fused_tables_equal_one_at_a_time_tables(small_bands):
+    small_bands(2)
+    v = _probe()
+    fused = _fresh_tables(v, EXPONENTS)
+    for p, table in zip(EXPONENTS, fused):
+        assert np.array_equal(table, _fresh_tables(v, [p])[0])
+
+
+def test_fill_keeps_memoised_tables_and_adds_the_missing_ones():
+    v = _probe()
+    two = _cube_table(v, EXPONENTS[2])
+    tables = _fill_cube_tables(v, EXPONENTS + EXPONENTS[:2])
+    assert tables[2] is two
+    assert tables[-2] is tables[0] and tables[-1] is tables[1]
+    assert sorted(v.__dict__["_cube_tables"]) == sorted(p.value for p in EXPONENTS)
+    assert all(not t.flags.writeable for t in tables)
+
+
+def test_p4_by_squaring_stays_within_two_ulps_of_the_power():
+    # one block, so the reference sums in the kernel's order and differs only by the power
+    v = _probe(make_grid(4, 8))
+    tiles = v.samples.reshape(4, 8, 8, 4)
+    assert tiles.size <= norms._BLOCK
+    reference = np.add.reduce(np.add.reduce(np.abs(tiles) ** 4.0, axis=1), axis=2) ** 0.25
+    table = _fresh_tables(v, [as_exponent(4)])[0]
+    assert np.abs(table - reference).max() <= 4.5e-16 * np.abs(reference).max()
+    assert np.all(np.abs(table - reference) <= 4.5e-16 * reference)
+
+
+@pytest.mark.parametrize("amplitude", [1e160, 1e-160])
+def test_threaded_tables_stay_finite_and_homogeneous_at_extreme_amplitudes(small_bands, amplitude):
+    # |x|^2 and |x|^4 leave the float range here, so every p but 1, 4/3 and inf
+    # takes the rescaled path, in the workers, under the caller's np.errstate:
+    # a worker without it warns, and the RuntimeWarning fails the test
+    small_bands(2)
+    v = _probe()
+    base = _fresh_tables(v, EXPONENTS)
+    scaled = make_symbol(v.x_grid, v.w_grid, amplitude * v.samples)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        tables = _fill_cube_tables(scaled, EXPONENTS)
+    for got, want in zip(tables, base):
+        assert np.all(np.isfinite(got))
+        np.testing.assert_allclose(got, amplitude * want, rtol=1e-12, atol=1e-12 * amplitude * want.max())
+
+
+@pytest.mark.parametrize("grid", [make_grid(4, 64), make_grid(8, 32)])
+def test_sharpness_symbol_equals_the_outer_product(grid):
+    profile = bump(0.0, 1.0)
+    lam = 4.0
+    h = sample(profile, grid).samples
+    freq = transforms.inverse_fourier(sample(chirp_family(profile, lam), grid)).samples
+    a = sharpness_symbol(profile, lam, grid).samples
+    assert np.array_equal(a, np.outer(h, freq))
+    outside = h == 0.0
+    assert outside.any() and not np.any(a[outside])
+
+
+def test_sharpness_symbol_of_a_profile_that_is_nowhere_zero():
+    grid = make_grid(4, 16)
+    profile = families.WindowSpec(gaussian_family(16.0).evaluator, support_radius=2.0)
+    h = sample(profile, grid).samples
+    freq = transforms.inverse_fourier(sample(chirp_family(profile, 1.0), grid)).samples
+    assert np.array_equal(sharpness_symbol(profile, 1.0, grid).samples, np.outer(h, freq))
