@@ -11,13 +11,18 @@ End to end: ``perfbench/run.py --trace 0`` runs once per workload of
 ``run_seconds`` of ``BENCHMARK.json``; the metrics of its last output line are
 kept, with their median over the seeds.  The Tier-1 suite is timed too.
 
-Layers: one call each of ``sample``, ``dft_centered``, ``stft``,
+Layers: calls of ``sample``, ``dft_centered``, ``stft``,
 ``synthesis``, ``apply_locop``, ``amalgam_norm``, ``lp_norm`` and
 ``modulation_norm_triebel`` at N = 2048 and 4096, and of ``build_kernel``
 and ``opnorm_l2`` at N = 512 and 1024 (a dense kernel is N^2 and
-``opnorm_l2`` is O(N^3), so N = 4096 would need over a gigabyte).  Each
-timing is the best of 3 calls, each on a fresh frozen input, so
-the cube-table memo of the norms cannot hide their cost.
+``opnorm_l2`` is O(N^3), so N = 4096 would need over a gigabyte).  At
+N = 2048, ``sharpness_symbol`` and ``apply_locop`` are also timed as the
+two region-locop scans call them (``L=4``: bump windows on the 4 x 512
+grid, ``L=8``: Gaussian windows on the 8 x 256 grid, lambda 16).  Each layer
+is called 5 times, each on a fresh frozen input, so the cube-table memo of
+the norms cannot hide their cost; the record holds the best time and,
+next to it, the spread (slowest minus fastest), which bounds the noise
+in a delta between two records.
 
 ``--root`` measures another checkout (its ``src/`` and ``perfbench/``) with
 this script.  The record holds that checkout's git SHA, whether its tree
@@ -43,25 +48,35 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 SEEDS = (1, 2, 3)
-REPEATS = 3  # layer timings are the best of this many calls
+REPEATS = 5  # timed calls per layer
 LAYER_SIZES = (2048, 4096)
 KERNEL_SIZES = (512, 1024)
+LOCOP_SIZE = 2048  # the N of the region-locop scans
 
 
-def _best_of(call, make_input, repeats: int) -> float:
-    """Shortest of ``repeats`` timed calls, each on an input built outside the timer."""
-    best = float("inf")
+def _timings(call, make_input, repeats: int) -> list[float]:
+    """Seconds of ``repeats`` timed calls, each on an input built outside the timer."""
+    out = []
     for _ in range(repeats):
         arg = make_input()
         start = time.perf_counter()
         call(arg)
-        best = min(best, time.perf_counter() - start)
+        out.append(time.perf_counter() - start)
         del arg
-    return best
+    return out
+
+
+def _summary(timings: dict, reduce) -> dict:
+    return {size: {name: reduce(secs) for name, secs in layers.items()} for size, layers in timings.items()}
 
 
 def time_layers(sizes=LAYER_SIZES, kernel_sizes=KERNEL_SIZES, repeats: int = REPEATS) -> dict:
     """Best-of-``repeats`` seconds per layer call, keyed by ``N=<size>`` then layer name."""
+    return _summary(layer_timings(sizes, kernel_sizes, repeats), min)
+
+
+def layer_timings(sizes=LAYER_SIZES, kernel_sizes=KERNEL_SIZES, repeats: int = REPEATS) -> dict:
+    """Seconds of every timed layer call, keyed by ``N=<size>`` then layer name."""
     # the library loads here, after main() has pinned the BLAS threads and put
     # the measured checkout's src/ first on the path
     from tfamalgam import (
@@ -116,7 +131,7 @@ def time_layers(sizes=LAYER_SIZES, kernel_sizes=KERNEL_SIZES, repeats: int = REP
             "lp_norm": (lambda a: lp_norm(a, "4/3"), symbol),
             "modulation_norm_triebel": (lambda x: modulation_norm_triebel(x, 2, 1), signal),
         }
-        out[f"N={n}"] = {name: _best_of(call, make, repeats) for name, (call, make) in layers.items()}
+        out[f"N={n}"] = {name: _timings(call, make, repeats) for name, (call, make) in layers.items()}
     for n in kernel_sizes:
         grid = make_grid(8, n // 8)
         window = standard_window(grid)
@@ -126,9 +141,39 @@ def time_layers(sizes=LAYER_SIZES, kernel_sizes=KERNEL_SIZES, repeats: int = REP
 
         entries = build_kernel(gaussian_symbol(), window, window).entries
         timings = out.setdefault(f"N={n}", {})
-        timings["build_kernel"] = _best_of(lambda a: build_kernel(a, window, window), gaussian_symbol, repeats)
-        timings["opnorm_l2"] = _best_of(opnorm_l2, lambda: KernelMatrix(grid, entries.copy()), repeats)
+        timings["build_kernel"] = _timings(lambda a: build_kernel(a, window, window), gaussian_symbol, repeats)
+        timings["opnorm_l2"] = _timings(opnorm_l2, lambda: KernelMatrix(grid, entries.copy()), repeats)
         del entries
+    return out
+
+
+def region_locop_timings(n: int = LOCOP_SIZE, repeats: int = REPEATS) -> dict:
+    """Seconds of ``sharpness_symbol`` and ``apply_locop`` calls as the region-locop scans make them."""
+    from tfamalgam import (
+        apply_locop,
+        bump,
+        chirp_family,
+        make_grid,
+        make_signal,
+        max_alias_free_lambda,
+        sample,
+        sharpness_symbol,
+        standard_window,
+    )
+
+    out = {}
+    profile = bump(0.0, 1.0)
+    for cubes, window_of in ((4, lambda g: sample(profile, g)), (8, standard_window)):
+        grid = make_grid(cubes, n // cubes)
+        window = window_of(grid)
+        lam = min(16.0, max_alias_free_lambda(grid, 1.0))
+        f = make_signal(grid, sample(chirp_family(profile, lam), grid).samples.conj())
+        out[f"sharpness_symbol L={cubes}"] = _timings(
+            lambda rate: sharpness_symbol(profile, rate, grid), lambda: lam, repeats
+        )
+        out[f"apply_locop L={cubes}"] = _timings(
+            lambda a: apply_locop(a, window, window, f), lambda: sharpness_symbol(profile, lam, grid), repeats
+        )
     return out
 
 
@@ -212,14 +257,18 @@ def main(argv=None) -> int:
     record["workloads"] = run_workloads(
         root, [w["name"] for w in benchmark["workloads"]], SEEDS, benchmark["run_seconds"]
     )
-    record["layers_s"] = time_layers()
+    timings = layer_timings()
+    timings[f"N={LOCOP_SIZE}"].update(region_locop_timings())
+    record["layers_s"] = _summary(timings, min)
+    record["layers_spread_s"] = _summary(timings, lambda secs: max(secs) - min(secs))
     record["layers_peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
     print(f"tier1 {record['tier1']['wall_s']:.1f} s: {record['tier1']['summary']}")
     for name, wl in record["workloads"].items():
         print(f"{name:16s} pass_s {wl['median']['pass_s']:.4g}  peak_rss_mb {wl['median']['peak_rss_mb']:.4g}")
     for size, layers in record["layers_s"].items():
-        print(size, " ".join(f"{k}={v:.4g}" for k, v in layers.items()))
+        spread = record["layers_spread_s"][size]
+        print(size, " ".join(f"{k}={v:.4g}(+{spread[k]:.2g})" for k, v in layers.items()))
     return 0
 
 

@@ -21,7 +21,7 @@ from .grid import (
     max_alias_free_lambda,
     sample,
 )
-from .transforms import _nonzero_row_runs, inverse_fourier
+from .transforms import _each_rows, _nonzero_row_runs, inverse_fourier
 
 __all__ = [
     "WindowSpec",
@@ -154,8 +154,11 @@ def sharpness_symbol(profile: WindowSpec, lam: float, grid: Grid1D) -> SampledSy
     freq = inverse_fourier(sample(chirp_family(profile, lam), grid)).samples
     # the rows outside supp h stay zero; the others are the products np.outer makes
     out = np.zeros((h.size, freq.size), dtype=np.complex128)
-    for start, stop in _nonzero_row_runs(h[:, None]):
-        np.multiply(h[start:stop, None], freq, out=out[start:stop])
+
+    def fill(rows: slice) -> None:
+        np.multiply(h[rows, None], freq, out=out[rows])
+
+    _each_rows(fill, _nonzero_row_runs(h[:, None]), freq.size)
     return make_symbol(grid, grid.dual, out)
 
 

@@ -28,7 +28,15 @@ from .grid import (
     make_symbol,
 )
 from .norms import lp_norm
-from .transforms import StftPlan, _nonzero_row_runs, _translates, dft_centered, stft, synthesis
+from .transforms import (
+    StftPlan,
+    _each_rows,
+    _nonzero_row_runs,
+    _translates,
+    dft_centered,
+    stft,
+    synthesis,
+)
 
 _POWER_ITER_CAP = 5000
 
@@ -59,18 +67,21 @@ def apply_locop(
     """Apply the localization operator with symbol ``a`` and windows (phi1, phi2).
 
     Rows where ``a`` vanishes add nothing, so they are neither transformed nor
-    synthesised.
+    synthesised.  V_{phi1} f is weighted where it lies, on row bands of the
+    pool, so the operator holds one symbol-sized array.
     """
     plan = _symbol_rows_plan(a, phi1, phi2)
     if f.grid != plan.grid:
         raise ValueError("input signal grid does not match the windows")
     v = stft(f, phi1, plan).samples
-    weighted = np.zeros(v.shape, dtype=v.dtype)
-    for start, stop in plan.rows:
-        np.multiply(a.samples[start:stop], v[start:stop], out=weighted[start:stop])
-    # V_{phi1} f is dropped once weighted, so it is not held while synthesis runs
-    del v
-    return synthesis(make_symbol(a.x_grid, a.w_grid, weighted), phi2)
+    v.flags.writeable = True  # nothing else holds this STFT
+
+    def weight(rows: slice) -> None:
+        # a * v, in this operand order: v *= a rounds differently in the complex product
+        np.multiply(a.samples[rows], v[rows], out=v[rows])
+
+    _each_rows(weight, plan.rows, plan.grid.N)
+    return synthesis(make_symbol(a.x_grid, a.w_grid, v), phi2)
 
 
 def weak_pairing(

@@ -16,6 +16,7 @@ import contextvars
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -70,30 +71,30 @@ def _center_sign(n: int) -> float:
     return -1.0 if (n // 2) % 2 else 1.0
 
 
-def _centered_fft(x: np.ndarray, scale: float, transform) -> np.ndarray:
-    """In place along the last axis: x <- scale * s * transform(s * x), s = (-1)^j.
+def _centered_fft(values: np.ndarray, scale: float, transform) -> np.ndarray:
+    """A new array, along the last axis: scale * s * transform(s * values), s = (-1)^j.
 
-    ``stft`` and ``synthesis`` fold these passes into their own loops instead.
+    The first sign pass is the complex copy and the last one folds into the
+    scale; both are exact, as s = +-1.  ``stft`` and ``synthesis`` fold these
+    passes into their own loops instead.
     """
-    s = _alternating(x.shape[-1])
-    x *= s
+    s = _alternating(values.shape[-1])
+    x = np.multiply(values, s, dtype=np.complex128)
     transform(x, axis=-1, out=x)
-    x *= s
-    x *= scale
+    x *= s * scale
     return x
 
 
 def dft_centered(values: np.ndarray, density: int) -> np.ndarray:
     """Centered DFT along the last axis with quadrature weight 1/density."""
     n = values.shape[-1]
-    return _centered_fft(np.array(values, dtype=np.complex128), _center_sign(n) / density, np.fft.fft)
+    return _centered_fft(values, _center_sign(n) / density, np.fft.fft)
 
 
 def idft_centered(values: np.ndarray, density: int) -> np.ndarray:
     """Inverse of dft_centered: weight 1/density sum with e^{+2 pi i w t}."""
     n = values.shape[-1]
-    scale = _center_sign(n) * n / density
-    return _centered_fft(np.array(values, dtype=np.complex128), scale, np.fft.ifft)
+    return _centered_fft(values, _center_sign(n) * n / density, np.fft.ifft)
 
 
 def fourier(f: SampledSignal) -> SampledSignal:
@@ -146,7 +147,13 @@ class StftPlan:
 
 def _nonzero_row_runs(samples: np.ndarray) -> tuple[tuple[int, int], ...]:
     """The (start, stop) runs of the rows of ``samples`` that hold a nonzero entry."""
-    edges = np.flatnonzero(np.diff(samples.any(axis=1), prepend=False, append=False))
+    nonzero = np.empty(samples.shape[0], dtype=bool)
+
+    def scan(rows: slice) -> None:
+        np.any(samples[rows], axis=1, out=nonzero[rows])
+
+    _each_rows(scan, ((0, samples.shape[0]),), samples.shape[1])
+    edges = np.flatnonzero(np.diff(nonzero, prepend=False, append=False))
     return tuple(zip(edges[::2].tolist(), edges[1::2].tolist()))
 
 
@@ -155,6 +162,26 @@ def _chunks(runs, block: int):
     for start, stop in runs:
         for lo in range(start, stop, block):
             yield slice(lo, min(lo + block, stop))
+
+
+def _task_rows(width: int) -> int:
+    """Rows of ``width`` samples in one pool task: about ``_CHUNK_ELEMENTS // 8`` samples."""
+    return max(1, _CHUNK_ELEMENTS // 8 // width)
+
+
+def _each_rows(fn, runs, width: int) -> None:
+    """``_each(fn, ...)`` over slices of the row runs, one task of rows of ``width`` samples each."""
+    _each(fn, _chunks(runs, _task_rows(width)))
+
+
+def _column_bands(width: int, rows: int) -> list[slice]:
+    """Bands of columns that split ``rows`` rows of ``width`` samples into pool tasks.
+
+    Every band is at least two columns wide: numpy sums a single column
+    pairwise, and the row sums of ``synthesis`` must run in row order.
+    """
+    count = max(1, width // max(2, _task_rows(rows)))
+    return [slice(width * i // count, width * (i + 1) // count) for i in range(count)]
 
 
 def _translates(g: np.ndarray) -> np.ndarray:
@@ -174,8 +201,8 @@ def stft(f: SampledSignal, g: SampledSignal, plan: StftPlan | None = None) -> Sa
     Column x_j holds the centered DFT of t -> f(t) conj(g(t - x_j)) with
     circular windowing; this matches the direct quadrature sum exactly.  Only
     the rows in ``plan.rows`` are transformed; every other row is exact zero.
-    The rows go in slices of at most ``_CHUNK_ELEMENTS`` samples, each slice
-    one task of ``_each``, so the result does not depend on the CPU count.
+    Rows are independent, and each task of ``_each`` transforms a slice of
+    them, so the result does not depend on the CPU count.
     """
     if f.grid != g.grid:
         raise ValueError("stft requires signal and window on the same grid")
@@ -200,7 +227,7 @@ def stft(f: SampledSignal, g: SampledSignal, plan: StftPlan | None = None) -> Sa
         np.fft.fft(block, axis=-1, out=block)
         block *= s
 
-    _each(transform, _chunks(runs, max(1, _CHUNK_ELEMENTS // n)))
+    _each_rows(transform, runs, n)
     return make_symbol(Grid1D(grid.L, grid.m // plan.x_stride), grid.dual, out)
 
 
@@ -209,7 +236,10 @@ def synthesis(F: SampledSymbol, g: SampledSignal) -> SampledSignal:
 
     The quadrature cell is (x-step) * (frequency step); with F = stft(f, g) at
     full stride this inverts the STFT up to the factor ||g||_2^2.  Rows of F
-    that are all zero add nothing and are skipped.
+    that are all zero add nothing and are skipped.  The rows are summed in
+    blocks of ``_CHUNK_ELEMENTS // N`` rows, each in row order: tasks of
+    ``_each`` transform slices of a block's rows, then add bands of its
+    columns to the output, so the result does not depend on the CPU count.
     """
     grid = g.grid
     if F.w_grid != grid.dual:
@@ -224,14 +254,22 @@ def synthesis(F: SampledSymbol, g: SampledSignal) -> SampledSignal:
     s = _alternating(n)
     block = max(1, _CHUNK_ELEMENTS // n)
     longest = max((stop - start for start, stop in runs), default=0)
-    # one reused buffer: each run is signed while it is copied in, transformed in place
+    # one reused buffer: each block is signed while it is copied in, transformed in place
     buf = np.empty((min(block, longest), n), dtype=np.complex128)
+
+    def transform(work: np.ndarray, start: int, part: slice) -> None:
+        piece, rows = work[part], slice(start + part.start, start + part.stop)
+        np.multiply(F.samples[rows], s, out=piece)
+        np.fft.ifft(piece, axis=-1, out=piece)
+        piece *= windows[rows]
+
+    def add_columns(work: np.ndarray, cols: slice) -> None:
+        out[cols] += work[:, cols].sum(axis=0)
+
     for rows in _chunks(runs, block):
         work = buf[: rows.stop - rows.start]
-        np.multiply(F.samples[rows], s, out=work)
-        np.fft.ifft(work, axis=-1, out=work)
-        work *= windows[rows]
-        out += work.sum(axis=0)
+        _each_rows(partial(transform, work, rows.start), ((0, len(work)),), n)
+        _each(partial(add_columns, work), _column_bands(n, len(work)))
     # the post-sign and the scale are the same for every row: apply them to the sum
     out *= s * (_center_sign(n) * n / F.w_grid.m * F.x_grid.h)
     return make_signal(grid, out)

@@ -23,7 +23,7 @@ from tfamalgam import (
     weak_pairing,
 )
 from tfamalgam.experiments import _suite_cases, random_bandlimited, random_tf_localized
-from tfamalgam.families import bump, gaussian_family, sharpness_symbol
+from tfamalgam.families import bump, chirp_family, gaussian_family, sharpness_symbol
 
 
 @pytest.fixture(scope="module")
@@ -409,3 +409,19 @@ def test_apply_locop_holds_at_most_two_symbol_sized_arrays(stride):
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * x_grid.N * g.N * 16
+
+
+@pytest.mark.parametrize(("grid", "bound"), [(make_grid(4, 256), 1.6), (make_grid(8, 128), 1.3)])
+def test_apply_locop_weights_the_stft_where_it_lies(grid, bound):
+    # the STFT becomes the weighted symbol, and synthesis buffers only the rows
+    # of supp h: half of them on the 4 x 256 grid, a quarter on the 8 x 128 grid
+    window = sample(bump(0.0, 1.0), grid)
+    a = sharpness_symbol(bump(0.0, 1.0), 4.0, grid)
+    f = make_signal(grid, np.conj(sample(chirp_family(bump(0.0, 1.0), 4.0), grid).samples))
+    tracemalloc.start()
+    try:
+        apply_locop(a, window, window, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * grid.N**2 * 16

@@ -13,9 +13,10 @@ import pytest
 
 from tfamalgam import families, norms, transforms
 from tfamalgam.families import bump, chirp_family, gaussian_family, sharpness_symbol
-from tfamalgam.grid import as_exponent, make_grid, make_symbol, sample
+from tfamalgam.grid import as_exponent, make_grid, make_signal, make_symbol, sample
+from tfamalgam.locop import apply_locop
 from tfamalgam.norms import _cube_table, _fill_cube_tables, standard_window
-from tfamalgam.transforms import StftPlan, _each, stft
+from tfamalgam.transforms import StftPlan, _each, _nonzero_row_runs, stft, synthesis
 
 EXPONENTS = [as_exponent(p) for p in ("1", "4/3", "2", "4", "inf")]
 GRID = make_grid(4, 32)  # N = 128: the STFT has 4 rows of cubes of 4096 samples
@@ -172,3 +173,105 @@ def test_sharpness_symbol_of_a_profile_that_is_nowhere_zero():
     h = sample(profile, grid).samples
     freq = transforms.inverse_fourier(sample(chirp_family(profile, 1.0), grid)).samples
     assert np.array_equal(sharpness_symbol(profile, 1.0, grid).samples, np.outer(h, freq))
+
+
+def _gapped_stft(stride):
+    """An STFT with runs of zero rows, isolated zero rows and a nonzero row at each end."""
+    v = stft(sample(chirp_family(bump(0.0, 1.0), 3.0), GRID), standard_window(GRID), StftPlan(GRID, stride))
+    samples = v.samples.copy()
+    samples[3:11] = 0.0
+    samples[20::7] = 0.0
+    samples[-9:-2] = 0.0
+    return make_symbol(v.x_grid, v.w_grid, samples)
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+def test_synthesis_is_bit_identical_for_any_worker_count(small_bands, stride):
+    # at stride 1 the runs span several blocks of 32 rows, each split into row tasks and column bands
+    v = _gapped_stft(stride)
+    g = sample(bump(0.0, 1.0), GRID)
+    small_bands(1)
+    serial = synthesis(v, g).samples
+    small_bands(2)
+    threaded = synthesis(v, g).samples
+    assert np.array_equal(serial, threaded)
+    assert np.abs(threaded).max() > 0.0
+
+
+@pytest.mark.parametrize(("grid", "chunk"), [(GRID, 1 << 12), (make_grid(2, 6), 128)])
+def test_synthesis_column_bands_sum_like_one_band(monkeypatch, small_bands, grid, chunk):
+    # at N = 12 a task holds 16 samples and a block 10 rows, so a band of one
+    # column would be summed pairwise by numpy instead of in row order
+    monkeypatch.setattr(transforms, "_CHUNK_ELEMENTS", chunk)
+    small_bands(2)
+    rng = np.random.default_rng(7)
+    shape = (grid.N, grid.N)
+    v = make_symbol(grid, grid.dual, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    g = make_signal(grid, rng.standard_normal(grid.N))
+    banded = synthesis(v, g).samples
+    monkeypatch.setattr(transforms, "_column_bands", lambda width, rows: [slice(0, width)])
+    assert np.array_equal(banded, synthesis(v, g).samples)
+
+
+def _sharpness_operator(grid=GRID, lam=3.0):
+    window = sample(bump(0.0, 1.0), grid)
+    f = make_signal(grid, np.conj(sample(chirp_family(bump(0.0, 1.0), lam), grid).samples))
+    return sharpness_symbol(bump(0.0, 1.0), lam, grid), window, f
+
+
+def test_apply_locop_is_bit_identical_for_any_worker_count(small_bands):
+    a, window, f = _sharpness_operator()
+    small_bands(1)
+    serial = apply_locop(a, window, window, f).samples
+    small_bands(2)
+    threaded = apply_locop(a, window, window, f).samples
+    assert np.array_equal(serial, threaded)
+    assert np.abs(threaded).max() > 0.0
+
+
+def test_apply_locop_weights_the_stft_as_symbol_times_stft(small_bands):
+    # the in-place weighting keeps the operand order of a * V f, bit for bit
+    small_bands(2)
+    a, window, f = _sharpness_operator()
+    v = stft(f, window, StftPlan(GRID)).samples
+    want = synthesis(make_symbol(a.x_grid, a.w_grid, a.samples * v), window).samples
+    assert np.array_equal(apply_locop(a, window, window, f).samples, want)
+
+
+@pytest.mark.parametrize("grid", [make_grid(4, 32), make_grid(8, 16)])
+def test_sharpness_symbol_is_bit_identical_for_any_worker_count(small_bands, grid):
+    small_bands(1)
+    serial = sharpness_symbol(bump(0.0, 1.0), 3.0, grid).samples
+    small_bands(2)
+    threaded = sharpness_symbol(bump(0.0, 1.0), 3.0, grid).samples
+    assert np.array_equal(serial, threaded)
+    assert np.abs(threaded).max() > 0.0
+
+
+def test_nonzero_row_runs_are_the_same_for_any_worker_count(small_bands):
+    samples = _gapped_stft(1).samples
+    nonzero = [bool(row.any()) for row in samples]
+    want = []
+    for i, keep in enumerate(nonzero):
+        if keep and (i == 0 or not nonzero[i - 1]):
+            want.append([i, i + 1])
+        elif keep:
+            want[-1][1] = i + 1
+    small_bands(1)
+    serial = _nonzero_row_runs(samples)
+    small_bands(2)
+    assert _nonzero_row_runs(samples) == serial == tuple(map(tuple, want))
+    assert len(serial) > 3
+
+
+def test_small_inputs_start_no_thread(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a small input started a thread pool")
+
+    monkeypatch.setattr(transforms, "_workers", lambda: 2)
+    monkeypatch.setattr(transforms, "ThreadPoolExecutor", no_pool)
+    grid = make_grid(16, 16)
+    a, window, f = _sharpness_operator(grid, 4.0)
+    v = stft(f, window)
+    assert np.abs(synthesis(v, window).samples).max() > 0.0
+    assert np.abs(apply_locop(a, window, window, f).samples).max() > 0.0

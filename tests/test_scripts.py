@@ -37,3 +37,12 @@ def test_bench_layer_timer_runs_at_a_tiny_size():
     }
     assert set(timings["N=32"]) == {"build_kernel", "opnorm_l2"}
     assert all(0.0 < t < 60.0 for layer in timings.values() for t in layer.values())
+
+
+def test_bench_region_locop_timer_keeps_every_call_at_a_tiny_size():
+    bench = _load("bench")
+    timings = bench.region_locop_timings(n=64, repeats=2)
+    assert set(timings) == {"sharpness_symbol L=4", "apply_locop L=4", "sharpness_symbol L=8", "apply_locop L=8"}
+    assert all(len(secs) == 2 and all(0.0 < s < 60.0 for s in secs) for secs in timings.values())
+    spread = bench._summary({"N=64": timings}, lambda secs: max(secs) - min(secs))
+    assert all(s >= 0.0 for s in spread["N=64"].values())
