@@ -5,11 +5,12 @@ Commands
     verify          run the invariant battery (transforms, norms, operators)
     scan-stft       STFT boundedness region scan over an exponent lattice
     scan-locop      localization-operator sharpness scan (bump windows)
-    scan-locop-lq   same scan with plain L^q symbol norms, Gaussian windows
+    scan-locop-lq   same scan with Gaussian windows on a coarser grid
     norm            evaluate one norm of one family member
     stft            norms/diagnostics of one STFT
     locop           apply one localization operator and report output norms
 
+Both locop scans measure each symbol factor in W(L^q, L^q) = L^q.
 Options come from an INI-style config file (flat key=value sections) and are
 overridden by command-line flags.  Every run writes one primary table (csv or
 json) plus a machine-readable JSON summary; scans additionally write the
@@ -24,7 +25,7 @@ import configparser
 import json
 import platform
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +34,7 @@ from . import __version__
 from .experiments import (
     DEFAULT_LQ_SETTINGS,
     INVERSE_LATTICE,
+    WINDOWS,
     LocopScanSettings,
     StftScanSettings,
     default_lattice,
@@ -51,15 +53,7 @@ from .families import (
 )
 from .grid import as_exponent, make_grid, phase_space_symbol, sample
 from .locop import apply_locop
-from .norms import (
-    NORM_ARITY,
-    NormSpec,
-    amalgam_norm,
-    evaluate_norm,
-    lp_norm,
-    standard_window,
-    unit_standard_window,
-)
+from .norms import NORM_ARITY, NormSpec, amalgam_norm, evaluate_norm, lp_norm, standard_window
 from .transforms import stft
 
 
@@ -67,26 +61,38 @@ class ConfigError(ValueError):
     """Invalid configuration; maps to exit code 2."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    seed: int = 0
-    out: str = "tfamalgam-out"
-    format: str = "csv"  # primary table format: csv | json
-    grid_l: int = 16
-    grid_m: int = 16
-    lambdas: tuple | None = None
-    lattice: tuple | None = None  # reciprocal exponent values of the scan lattice
-    margin: float | None = None
-    kind: str = "lp"
-    family: str = "gaussian"
-    window: str = "gaussian"
-    symbol: str = "unit"
-    lam: float = 1.0
-    p: str = "2"
-    q: str = "2"
-    r: str = "2"
-    s: str = "2"
+# Every table entry looks its function up when it is called: a table that held
+# the function object would bypass a wrapper installed on the module later.
+
+# family: (the window spec of the member with parameter lam, whether it reads lam)
+_FAMILIES = {
+    "gaussian": (lambda lam: gaussian_family(lam), True),
+    "chirp": (lambda lam: chirp_family(bump(0.0, 1.0), lam), True),
+    "bump": (lambda lam: bump(0.0, 1.0), False),
+    "indicator": (lambda lam: indicator(0.0, 1.0), False),
+}
+
+# symbol: (the symbol sampled on a grid, from lam and the grid, whether it reads lam)
+_SYMBOLS = {
+    **{
+        name: (lambda lam, grid, name=name: phase_space_symbol(grid, SYMBOL_EVALUATORS[name]), False)
+        for name in SYMBOL_EVALUATORS
+    },
+    "sharpness": (lambda lam, grid: sharpness_symbol(bump(0.0, 1.0), lam, grid), True),
+}
+
+# output format: the text of the primary table, from its columns and records
+_FORMATS = {
+    "csv": lambda columns, records: render_csv(columns, records),
+    "json": lambda columns, records: json.dumps({"columns": columns, "records": records}, indent=2) + "\n",
+}
+
+
+def _lookup(table: dict, name: str, what: str):
+    """The entry of ``table`` for ``name``; a name the table lacks is a configuration error."""
+    if name not in table:
+        raise ConfigError(f"unknown {what} {name!r}")
+    return table[name]
 
 
 def _parse_floats(text: str) -> tuple:
@@ -94,23 +100,34 @@ def _parse_floats(text: str) -> tuple:
     return tuple(float(x) for x in items)
 
 
-_FIELD_PARSERS = {
-    "seed": int,
-    "grid_l": int,
-    "grid_m": int,
-    "lambdas": _parse_floats,
-    "lattice": _parse_floats,
-    "margin": float,
-    "lam": float,
-}
+def _option(section: str, default, parse=str, **flag):
+    """A ``RunConfig`` field: its default, the config-file section that sets it,
+    the parser of its text (from a flag or a file) and its extra argparse keywords."""
+    return field(default=default, metadata={"section": section, "parse": parse, "flag": flag})
 
-_CONFIG_SECTIONS = {
-    "run": ("command", "seed", "out", "format"),
-    "grid": ("grid_l", "grid_m"),
-    "sweep": ("lambdas",),
-    "scan": ("lattice", "margin"),
-    "op": ("kind", "family", "window", "symbol", "lam", "p", "q", "r", "s"),
-}
+
+@dataclass(frozen=True)
+class RunConfig:
+    command: str = _option("run", MISSING)
+    seed: int = _option("run", 0, int)
+    out: str = _option("run", "tfamalgam-out")
+    format: str = _option("run", "csv", choices=tuple(_FORMATS))  # primary table format
+    grid_l: int = _option("grid", 16, int)
+    grid_m: int = _option("grid", 16, int)
+    lambdas: tuple | None = _option("sweep", None, _parse_floats, help="sweep values, e.g. '4 8 16 32'")
+    # reciprocal exponent values of the scan lattice
+    lattice: tuple | None = _option("scan", None, _parse_floats, help="reciprocal lattice values, e.g. '0 0.5 1'")
+    margin: float | None = _option("scan", None, float)
+    kind: str = _option("op", "lp", choices=[k.replace("_", "-") for k in NORM_ARITY])
+    family: str = _option("op", "gaussian", choices=tuple(_FAMILIES))
+    window: str = _option("op", "gaussian", choices=tuple(WINDOWS))
+    symbol: str = _option("op", "unit", choices=tuple(_SYMBOLS))
+    lam: float = _option("op", 1.0, float)
+    p: str = _option("op", "2")
+    q: str = _option("op", "2")
+    r: str = _option("op", "2")
+    s: str = _option("op", "2")
+
 
 _SECTION_KEY_ALIASES = {("grid", "l"): "grid_l", ("grid", "m"): "grid_m"}
 
@@ -124,26 +141,26 @@ def load_config_file(path: str) -> dict:
     read = parser.read(path)
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
+    sections = {f.name: f.metadata["section"] for f in fields(RunConfig)}
     values: dict = {}
     for section in parser.sections():
-        if section not in _CONFIG_SECTIONS:
+        if section not in sections.values():
             raise ConfigError(f"unknown config section [{section}]")
         for key, raw in parser.items(section):
             name = _SECTION_KEY_ALIASES.get((section, key), key)
-            if name not in _CONFIG_SECTIONS[section]:
+            if sections.get(name) != section:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
             values[name] = raw
     return values
 
 
 def _coerce(values: dict) -> dict:
+    """Parse the text of each field, from a flag or a config file, with the parser it declares."""
+    parsers = {f.name: f.metadata["parse"] for f in fields(RunConfig)}
     out = {}
     for name, raw in values.items():
-        if raw is None:
-            continue
-        parser_fn = _FIELD_PARSERS.get(name)
         try:
-            out[name] = parser_fn(raw) if parser_fn and isinstance(raw, str) else raw
+            out[name] = parsers[name](raw)
         except ValueError as exc:
             raise ConfigError(f"invalid value for field {name!r}: {raw!r} ({exc})") from exc
     return out
@@ -156,6 +173,11 @@ def _exponent(config_value: str, field_name: str):
         raise ConfigError(f"invalid exponent for field {field_name!r}: {config_value!r} ({exc})") from exc
 
 
+def _reads_lam(table: dict, name: str) -> bool:
+    # a name the table lacks may read lam; its lookup reports it
+    return name not in table or table[name][1]
+
+
 def _fields_used(cfg: RunConfig) -> set:
     """The config fields the command of ``cfg`` reads, given its kind, family and symbol."""
     used = {"command", "out", "format", *_COMMANDS[cfg.command][1]}
@@ -164,8 +186,8 @@ def _fields_used(cfg: RunConfig) -> set:
         used -= set(_EXPONENT_FIELDS[NORM_ARITY.get(kind, len(_EXPONENT_FIELDS)) :])
         if kind != "symbol_mixed":
             used.discard("symbol")
-    # lam sets the gaussian and chirp families and the sharpness symbol
-    if cfg.family in ("bump", "indicator") and not ("symbol" in used and cfg.symbol == "sharpness"):
+    # lam is read by the families and symbols whose table entry says so
+    if not (_reads_lam(_FAMILIES, cfg.family) or ("symbol" in used and _reads_lam(_SYMBOLS, cfg.symbol))):
         used.discard("lam")
     return used
 
@@ -174,23 +196,8 @@ def build_config(argv) -> RunConfig:
     ap = argparse.ArgumentParser(prog="tfamalgam", description=__doc__.splitlines()[0])
     ap.add_argument("command", choices=tuple(_COMMANDS))
     ap.add_argument("--config", help="INI config file; flags override file keys")
-    ap.add_argument("--seed", type=int)
-    ap.add_argument("--out")
-    ap.add_argument("--format", choices=("csv", "json"))
-    ap.add_argument("--grid-l", type=int, dest="grid_l")
-    ap.add_argument("--grid-m", type=int, dest="grid_m")
-    ap.add_argument("--lambdas", help="sweep values, e.g. '4 8 16 32'")
-    ap.add_argument("--lattice", help="reciprocal lattice values, e.g. '0 0.5 1'")
-    ap.add_argument("--margin", type=float)
-    ap.add_argument("--kind", choices=[k.replace("_", "-") for k in NORM_ARITY])
-    ap.add_argument("--family", choices=("gaussian", "chirp", "bump", "indicator"))
-    ap.add_argument("--window", choices=("gaussian", "gaussian-unit", "bump"))
-    ap.add_argument("--symbol", choices=(*SYMBOL_EVALUATORS, "sharpness"))
-    ap.add_argument("--lam", type=float)
-    ap.add_argument("--p")
-    ap.add_argument("--q")
-    ap.add_argument("--r")
-    ap.add_argument("--s")
+    for f in fields(RunConfig)[1:]:  # every field but the command is a flag
+        ap.add_argument("--" + f.name.replace("_", "-"), dest=f.name, **f.metadata["flag"])
     try:
         ns = ap.parse_args(argv)
     except SystemExit as exc:
@@ -198,28 +205,18 @@ def build_config(argv) -> RunConfig:
             raise
         raise ConfigError("invalid command line") from exc
 
-    merged: dict = {}
-    if ns.config:
-        merged.update(load_config_file(ns.config))
-    for f in fields(RunConfig):
-        flag_value = getattr(ns, f.name, None)
-        if flag_value is not None:
-            merged[f.name] = flag_value
-    merged["command"] = ns.command
-    merged = _coerce(merged)
-    cfg = RunConfig(**merged)
+    flags = {f.name: getattr(ns, f.name) for f in fields(RunConfig) if getattr(ns, f.name) is not None}
+    cfg = RunConfig(**_coerce({**(load_config_file(ns.config) if ns.config else {}), **flags}))
     used = _fields_used(cfg)
-    unused = [f.name for f in fields(RunConfig) if f.name not in used and getattr(ns, f.name) is not None]
+    unused = [name for name in flags if name not in used]
     if unused:
-        flags = ", ".join("--" + name.replace("_", "-") for name in unused)
+        flag_names = ", ".join("--" + name.replace("_", "-") for name in unused)
         what = f"norm --kind {cfg.kind}" if cfg.command == "norm" else cfg.command
-        raise ConfigError(f"{flags} not used by {what} (fields {', '.join(map(repr, unused))})")
+        raise ConfigError(f"{flag_names} not used by {what} (fields {', '.join(map(repr, unused))})")
     for name in ("lam", "margin", "lambdas"):
         value = getattr(cfg, name)
         if value is not None and not np.all(np.isfinite(value)):
             raise ConfigError(f"{name} must be finite, got {value!r}")
-    if cfg.format not in ("csv", "json"):
-        raise ConfigError(f"unknown output format {cfg.format!r}")
     if cfg.lattice is not None and any(not 0.0 <= v <= 1.0 for v in cfg.lattice):
         raise ConfigError("lattice values are reciprocal exponents and must lie in [0, 1]")
     if cfg.lattice is not None and len(set(cfg.lattice)) != len(cfg.lattice):
@@ -289,57 +286,16 @@ def _assertion(name, status, measured, expected, tolerance) -> dict:
 # command implementations
 
 
-def _family_window(cfg: RunConfig):
-    if cfg.family == "gaussian":
-        return gaussian_family(cfg.lam)
-    if cfg.family == "chirp":
-        return chirp_family(bump(0.0, 1.0), cfg.lam)
-    if cfg.family == "bump":
-        return bump(0.0, 1.0)
-    if cfg.family == "indicator":
-        return indicator(0.0, 1.0)
-    raise ConfigError(f"unknown family {cfg.family!r}")
-
-
 def _inputs(cfg: RunConfig):
     """The grid of the run and the family member sampled on it."""
     grid = make_grid(cfg.grid_l, cfg.grid_m)
-    return grid, sample(_family_window(cfg), grid)
-
-
-def _analysis_window(cfg: RunConfig, grid):
-    if cfg.window == "gaussian":
-        return standard_window(grid)
-    if cfg.window == "gaussian-unit":
-        return unit_standard_window(grid)
-    if cfg.window == "bump":
-        return sample(bump(0.0, 1.0), grid)
-    raise ConfigError(f"unknown window {cfg.window!r}")
-
-
-def _symbol(cfg: RunConfig, grid):
-    if cfg.symbol in SYMBOL_EVALUATORS:
-        return phase_space_symbol(grid, SYMBOL_EVALUATORS[cfg.symbol])
-    if cfg.symbol == "sharpness":
-        return sharpness_symbol(bump(0.0, 1.0), cfg.lam, grid)
-    raise ConfigError(f"unknown symbol {cfg.symbol!r}")
+    return grid, sample(_lookup(_FAMILIES, cfg.family, "family")[0](cfg.lam), grid)
 
 
 def _run_verify(cfg: RunConfig) -> RunResult:
-    records = []
-    assertions = []
-    for check in verification_suite(seed=cfg.seed):
-        row = {
-            "name": check.name,
-            "status": check.status,
-            "measured": check.measured,
-            "expected": check.expected,
-            "tolerance": check.tolerance,
-        }
-        records.append(row)
-        assertions.append(_assertion(**row))
+    records = [asdict(check) for check in verification_suite(seed=cfg.seed)]
     columns = ["name", "status", "measured", "expected", "tolerance"]
-    return RunResult(columns, records, assertions)
+    return RunResult(columns, records, [_assertion(**row) for row in records])
 
 
 # command: (scan, default settings, the sweep fields --lambdas sets,
@@ -348,14 +304,14 @@ def _run_verify(cfg: RunConfig) -> RunResult:
 _LOCOP_SLOPES = {"sharpness_ratio": "slope"}
 _SCANS = {
     "scan-stft": (
-        scan_stft,
+        lambda *args: scan_stft(*args),
         StftScanSettings(),
         ("lambdas_smooth", "lambdas_chirp"),
         ("p", "q"),
         {"stft_amalgam_ratio": "slope_a", "chirp_lq_ratio": "slope_b"},
     ),
-    "scan-locop": (scan_locop, LocopScanSettings(), ("lambdas",), ("q", "r"), _LOCOP_SLOPES),
-    "scan-locop-lq": (scan_locop_lq, DEFAULT_LQ_SETTINGS, ("lambdas",), ("q", "r"), _LOCOP_SLOPES),
+    "scan-locop": (lambda *args: scan_locop(*args), LocopScanSettings(), ("lambdas",), ("q", "r"), _LOCOP_SLOPES),
+    "scan-locop-lq": (lambda *args: scan_locop_lq(*args), DEFAULT_LQ_SETTINGS, ("lambdas",), ("q", "r"), _LOCOP_SLOPES),
 }
 
 
@@ -408,15 +364,14 @@ def _run_scan(cfg: RunConfig) -> RunResult:
 def _run_norm(cfg: RunConfig) -> RunResult:
     grid, f = _inputs(cfg)
     kind = cfg.kind.replace("-", "_")
-    if kind not in NORM_ARITY:
-        raise ConfigError(f"unknown norm kind {cfg.kind!r}")
+    arity = _lookup(NORM_ARITY, kind, "norm kind")
     # every exponent must parse, also one a config file sets for another kind;
     # the kind uses the first NORM_ARITY[kind]
     parsed = {name: _exponent(getattr(cfg, name), name) for name in _EXPONENT_FIELDS}
-    names = tuple(parsed)[: NORM_ARITY[kind]]
+    names = tuple(parsed)[:arity]
     spec = NormSpec(kind, tuple(parsed[name] for name in names))
     if kind == "symbol_mixed":
-        target = _symbol(cfg, grid)
+        target = _lookup(_SYMBOLS, cfg.symbol, "symbol")[0](cfg.lam, grid)
     elif kind.startswith("mixed"):
         # mixed norms live on phase space; evaluate them on the STFT of f
         target = stft(f, standard_window(grid))
@@ -431,7 +386,7 @@ def _run_norm(cfg: RunConfig) -> RunResult:
 
 def _run_stft(cfg: RunConfig) -> RunResult:
     grid, f = _inputs(cfg)
-    window = _analysis_window(cfg, grid)
+    window = _lookup(WINDOWS, cfg.window, "window")(grid)
     v = stft(f, window)
     ortho = lp_norm(v, 2) / (lp_norm(f, 2) * lp_norm(window, 2))
     columns = ["quantity", "value"]
@@ -449,8 +404,8 @@ def _run_stft(cfg: RunConfig) -> RunResult:
 
 def _run_locop(cfg: RunConfig) -> RunResult:
     grid, f = _inputs(cfg)
-    window = _analysis_window(cfg, grid)
-    a = _symbol(cfg, grid)
+    window = _lookup(WINDOWS, cfg.window, "window")(grid)
+    a = _lookup(_SYMBOLS, cfg.symbol, "symbol")[0](cfg.lam, grid)
     out = apply_locop(a, window, window, f)
     columns = ["quantity", "value"]
     records = [
@@ -486,6 +441,7 @@ def run(cfg: RunConfig) -> int:
     """Execute one command; write artifacts; return the exit code."""
     if cfg.command not in _COMMANDS:
         raise ConfigError(f"unknown command {cfg.command!r}")
+    render = _lookup(_FORMATS, cfg.format, "output format")
     try:
         result = _COMMANDS[cfg.command][0](cfg)
     except ValueError as exc:  # a domain error in the configured values
@@ -500,7 +456,8 @@ def run(cfg: RunConfig) -> int:
 
     summary = {
         "command": cfg.command,
-        "config": {f.name: _native(getattr(cfg, f.name)) for f in fields(RunConfig)},
+        # tuples serialize as lists; normalize for byte-stable round trips
+        "config": {k: list(v) if isinstance(v, tuple) else _native(v) for k, v in asdict(cfg).items()},
         "assertions": result.assertions,
         "columns": result.columns,
         "records": records,
@@ -510,19 +467,8 @@ def run(cfg: RunConfig) -> int:
             "python": platform.python_version(),
         },
     }
-    # tuples serialize as lists; normalize for byte-stable round trips
-    summary["config"] = {
-        k: list(v) if isinstance(v, tuple) else v for k, v in summary["config"].items()
-    }
 
-    table_name = f"{cfg.command}.{cfg.format}"
-    if cfg.format == "csv":
-        (out_dir / table_name).write_text(render_csv(result.columns, records), encoding="utf-8")
-    else:
-        (out_dir / table_name).write_text(
-            json.dumps({"columns": result.columns, "records": records}, indent=2) + "\n",
-            encoding="utf-8",
-        )
+    (out_dir / f"{cfg.command}.{cfg.format}").write_text(render(result.columns, records), encoding="utf-8")
     if result.sample_records is not None:
         sample_records = [_clean_record(r) for r in result.sample_records]
         summary["sample_columns"] = result.sample_columns

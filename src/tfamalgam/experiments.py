@@ -50,6 +50,14 @@ from .transforms import fourier, gaussian_stft_symbol, inverse_fourier, stft, sy
 
 _REGION_TOL = 1e-12
 
+#: analysis window name -> the window sampled on a grid; each entry looks its
+#: function up when called, so a wrapper installed on the module later is used
+WINDOWS = {
+    "gaussian": lambda grid: standard_window(grid),
+    "gaussian-unit": lambda grid: unit_standard_window(grid),
+    "bump": lambda grid: sample(bump(0.0, 1.0), grid),
+}
+
 INVERSE_LATTICE = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
@@ -312,10 +320,12 @@ class LocopScanSettings:
 
     lambdas: tuple = (4.0, 8.0, 16.0, 32.0, 64.0)
     grid: Grid1D = make_grid(4, 512)
-    window: str = "bump"  # "bump" or "gaussian"
+    window: str = "bump"  # a key of WINDOWS
     margin: float = 0.05
-    # amalgam local exponent of the symbol norm; None means "use q"
-    symbol_p: object = None
+
+    def __post_init__(self):
+        if self.window not in WINDOWS:
+            raise ValueError(f"unknown window {self.window!r}; known: {sorted(WINDOWS)}")
 
 
 @dataclass(frozen=True)
@@ -327,19 +337,11 @@ class _LocopSweepData:
     probe_in: SampledSignal
 
 
-def _locop_window(settings: LocopScanSettings) -> SampledSignal:
-    if settings.window == "bump":
-        return sample(bump(0.0, 1.0), settings.grid)
-    if settings.window == "gaussian":
-        return standard_window(settings.grid)
-    raise ValueError(f"unknown window kind {settings.window!r}")
-
-
 def _locop_sweep(settings: LocopScanSettings) -> list[_LocopSweepData]:
     grid = settings.grid
     profile = bump(0.0, 1.0)  # also the cutoff chi of the operator output
     lams = _guarded(settings.lambdas, grid)
-    window = _locop_window(settings)
+    window = WINDOWS[settings.window](grid)
     h_sig = sample(profile, grid)
     data = []
     for lam in lams:
@@ -361,7 +363,11 @@ def _locop_sweep(settings: LocopScanSettings) -> list[_LocopSweepData]:
 
 
 def scan_locop(points, settings: LocopScanSettings | None = None) -> list[RegionVerdict]:
-    """Sharpness scan with compactly supported bump windows and amalgam symbol norms."""
+    """Sharpness scan, by default with compactly supported bump windows.
+
+    Each symbol factor is measured in W(L^q, L^q) = L^q, here and in
+    ``scan_locop_lq``, which differs only in its default settings.
+    """
     settings = settings or LocopScanSettings()
     pts = [(as_exponent(q), as_exponent(r)) for q, r in points]
     sweep = _locop_sweep(settings)
@@ -372,10 +378,9 @@ def scan_locop(points, settings: LocopScanSettings | None = None) -> list[Region
         # operators and their adjoints have identical output magnitudes here
         # (real windows), so exponents below 2 are probed at the conjugate
         r_eff = r if inv_r <= 0.5 + _REGION_TOL else r.conjugate
-        p_sym = settings.symbol_p if settings.symbol_p is not None else q
         values = []
         for d in sweep:
-            symbol_norm = amalgam_norm(d.x_factor, p_sym, q) * amalgam_norm(d.w_factor, p_sym, q)
+            symbol_norm = amalgam_norm(d.x_factor, q, q) * amalgam_norm(d.w_factor, q, q)
             input_norm = amalgam_norm(d.probe_in, r_eff, r_eff)
             values.append(lp_norm(d.chi_af, r_eff) / (symbol_norm * input_norm))
         fits = {"sharpness_ratio": fit_scaling(zip(lams, values))}
@@ -393,11 +398,8 @@ DEFAULT_LQ_SETTINGS = LocopScanSettings(
 
 
 def scan_locop_lq(points, settings: LocopScanSettings | None = None) -> list[RegionVerdict]:
-    """Same scan with plain L^q symbol norms and Gaussian (L^q cap L^q') windows."""
-    settings = settings or DEFAULT_LQ_SETTINGS
-    if settings.symbol_p is not None:
-        raise ValueError("the L^q scan fixes the symbol norm to W(L^q, L^q) = L^q")
-    return scan_locop(points, settings)
+    """Same scan, by default with Gaussian (L^q cap L^q') windows on a coarser grid."""
+    return scan_locop(points, settings or DEFAULT_LQ_SETTINGS)
 
 
 # ---------------------------------------------------------------------------

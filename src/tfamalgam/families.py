@@ -43,10 +43,7 @@ class WindowSpec:
 
     evaluator: Callable[[np.ndarray], np.ndarray]
     label: str = ""
-    compact_support: bool = False
     support_radius: float | None = None
-    unit_at_zero: bool = False
-    nonnegative: bool = False
     chirp_rate: float | None = None
 
 
@@ -57,8 +54,6 @@ def gaussian_family(lam: float) -> WindowSpec:
     return WindowSpec(
         evaluator=lambda t: np.exp(-np.pi * lam * np.asarray(t, dtype=float) ** 2),
         label=f"gaussian(lam={lam:g})",
-        unit_at_zero=True,
-        nonnegative=True,
     )
 
 
@@ -70,8 +65,6 @@ def chirped_gaussian(a: float, b: float) -> WindowSpec:
     return WindowSpec(
         evaluator=lambda t: np.exp(-np.pi * coeff * np.asarray(t, dtype=float) ** 2),
         label=f"chirped_gaussian(a={a:g}, b={b:g})",
-        unit_at_zero=True,
-        nonnegative=(b == 0),
         chirp_rate=b if b else None,
     )
 
@@ -82,10 +75,7 @@ def chirp_family(profile: WindowSpec, lam: float) -> WindowSpec:
     return WindowSpec(
         evaluator=lambda t: base(t) * np.exp(-1j * np.pi * lam * np.asarray(t, dtype=float) ** 2),
         label=f"chirp(lam={lam:g}, profile={profile.label})",
-        compact_support=profile.compact_support,
         support_radius=profile.support_radius,
-        unit_at_zero=profile.unit_at_zero,
-        nonnegative=False,
         chirp_rate=lam,
     )
 
@@ -106,10 +96,7 @@ def bump(center: float = 0.0, radius: float = 1.0) -> WindowSpec:
     return WindowSpec(
         evaluator=evaluate,
         label=f"bump(center={center:g}, radius={radius:g})",
-        compact_support=True,
         support_radius=abs(center) + radius,
-        unit_at_zero=(center == 0.0),
-        nonnegative=True,
     )
 
 
@@ -120,10 +107,7 @@ def indicator(left: float, right: float) -> WindowSpec:
     return WindowSpec(
         evaluator=lambda t: ((np.asarray(t) >= left) & (np.asarray(t) < right)).astype(float),
         label=f"indicator[{left:g},{right:g})",
-        compact_support=True,
         support_radius=max(abs(left), abs(right)),
-        unit_at_zero=(left <= 0.0 < right),
-        nonnegative=True,
     )
 
 

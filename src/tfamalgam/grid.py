@@ -141,12 +141,6 @@ class Grid1D:
         return t
 
     @cached_property
-    def freqs(self) -> np.ndarray:
-        w = (np.arange(self.N) - self.N // 2) / self.L
-        w.flags.writeable = False
-        return w
-
-    @cached_property
     def dual(self) -> "Grid1D":
         """The frequency lattice, reinterpreted as a grid over [-m/2, m/2)."""
         if self.m % 2:
@@ -214,21 +208,17 @@ def make_signal(grid: Grid1D, samples) -> SampledSignal:
     return SampledSignal(grid, arr, _tail_mass(grid, arr))
 
 
-def max_alias_free_lambda(grid: Grid1D, support_radius: float, margin: float | None = None) -> float:
+def max_alias_free_lambda(grid: Grid1D, support_radius: float) -> float:
     """Largest chirp rate whose instantaneous frequency stays below Nyquist.
 
     A chirp h(t)e^{-i pi lam t^2} supported in |t| <= support_radius sweeps up
     to |lam|*support_radius; the returned bound keeps that below the Nyquist
-    frequency m/2 minus a margin (default m/8) reserved for the bandwidth of
-    the envelope h.
+    frequency m/2 minus a margin of m/8 reserved for the bandwidth of the
+    envelope h.
     """
     if support_radius <= 0:
         raise ValueError("support_radius must be positive")
-    if margin is None:
-        margin = grid.m / 8.0
-    if not (0 <= margin < grid.m / 2.0):
-        raise ValueError("margin must lie in [0, m/2)")
-    return (grid.m / 2.0 - margin) / support_radius
+    return (grid.m / 2.0 - grid.m / 8.0) / support_radius
 
 
 def sample(window, grid: Grid1D) -> SampledSignal:

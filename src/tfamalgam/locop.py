@@ -32,6 +32,7 @@ from .transforms import (
     StftPlan,
     _each_rows,
     _nonzero_row_runs,
+    _symbol_stride,
     _translates,
     dft_centered,
     stft,
@@ -45,12 +46,7 @@ def _check_operator_shapes(a: SampledSymbol, phi1: SampledSignal, phi2: SampledS
     """Validate the operator data; return the STFT layout of the symbol's time axis."""
     if phi1.grid != phi2.grid:
         raise ValueError("both windows must live on the same grid")
-    grid = phi1.grid
-    if a.w_grid != grid.dual:
-        raise ValueError("symbol frequency lattice does not match the window grid")
-    if a.x_grid.L != grid.L or grid.m % a.x_grid.m:
-        raise ValueError("symbol time axis is not a sublattice of the window grid")
-    return StftPlan(grid, grid.m // a.x_grid.m)
+    return StftPlan(phi1.grid, _symbol_stride(a, phi1.grid))
 
 
 def _symbol_rows_plan(a: SampledSymbol, phi1: SampledSignal, phi2: SampledSignal) -> StftPlan:

@@ -25,17 +25,21 @@ from .grid import (
 from .families import bump
 from .transforms import _CHUNK_ELEMENTS, _each, fourier, idft_centered, inverse_fourier, stft
 
-#: norm kind -> number of exponents it takes
-NORM_ARITY = {
-    "lp": 1,
-    "flp": 1,
-    "mixed_lpq": 2,
-    "mixed_lplq": 2,
-    "amalgam": 2,
-    "modulation_stft": 2,
-    "modulation_triebel": 2,
-    "symbol_mixed": 4,
+#: norm kind -> the norm of f at the kind's exponents; each entry looks its
+#: function up when called, so a wrapper installed on the module later is used
+_NORMS = {
+    "lp": lambda f, p: lp_norm(f, p),
+    "flp": lambda f, p: flp_norm(f, p),
+    "mixed_lpq": lambda f, p, q: mixed_lpq(f, p, q),
+    "mixed_lplq": lambda f, p, q: mixed_lplq(f, p, q),
+    "amalgam": lambda f, p, q: amalgam_norm(f, p, q),
+    "modulation_stft": lambda f, p, q: modulation_norm(f, p, q),
+    "modulation_triebel": lambda f, p, q: modulation_norm_triebel(f, p, q),
+    "symbol_mixed": lambda f, p1, q1, p2, q2: symbol_mixed_norm(f, p1, q1, p2, q2),
 }
+
+#: norm kind -> number of exponents it takes: the parameters of its entry after f
+NORM_ARITY = {kind: norm.__code__.co_argcount - 1 for kind, norm in _NORMS.items()}
 
 
 @dataclass(frozen=True)
@@ -64,22 +68,7 @@ class NormSpec:
 
 def evaluate_norm(spec: NormSpec, f) -> float:
     """Apply the norm described by ``spec`` to a signal or symbol."""
-    e = spec.exponents
-    if spec.kind == "lp":
-        return lp_norm(f, e[0])
-    if spec.kind == "flp":
-        return flp_norm(f, e[0])
-    if spec.kind == "mixed_lpq":
-        return mixed_lpq(f, e[0], e[1])
-    if spec.kind == "mixed_lplq":
-        return mixed_lplq(f, e[0], e[1])
-    if spec.kind == "amalgam":
-        return amalgam_norm(f, e[0], e[1])
-    if spec.kind == "modulation_stft":
-        return modulation_norm(f, e[0], e[1])
-    if spec.kind == "modulation_triebel":
-        return modulation_norm_triebel(f, e[0], e[1])
-    return symbol_mixed_norm(f, e[0], e[1], e[2], e[3])
+    return _NORMS[spec.kind](f, *spec.exponents)
 
 
 #: elements per row block of a cube-table pass, so the block temporaries stay in cache

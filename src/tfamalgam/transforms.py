@@ -184,6 +184,15 @@ def _column_bands(width: int, rows: int) -> list[slice]:
     return [slice(width * i // count, width * (i + 1) // count) for i in range(count)]
 
 
+def _symbol_stride(F: SampledSymbol, grid: Grid1D) -> int:
+    """Check that ``F`` lives on a time sublattice of ``grid``'s phase space; return the time stride."""
+    if F.w_grid != grid.dual:
+        raise ValueError("symbol frequency lattice does not match the window grid")
+    if F.x_grid.L != grid.L or grid.m % F.x_grid.m:
+        raise ValueError("symbol time axis is not a sublattice of the window grid")
+    return grid.m // F.x_grid.m
+
+
 def _translates(g: np.ndarray) -> np.ndarray:
     """Read-only table of the circular translates of ``g``: row i is ``g[(t + i) % n]``.
 
@@ -242,11 +251,7 @@ def synthesis(F: SampledSymbol, g: SampledSignal) -> SampledSignal:
     columns to the output, so the result does not depend on the CPU count.
     """
     grid = g.grid
-    if F.w_grid != grid.dual:
-        raise ValueError("symbol frequency lattice does not match the window grid")
-    if F.x_grid.L != grid.L or grid.m % F.x_grid.m:
-        raise ValueError("symbol time axis is not a sublattice of the window grid")
-    stride = grid.m // F.x_grid.m
+    stride = _symbol_stride(F, grid)
     n = grid.N
     runs = _nonzero_row_runs(F.samples)
     out = np.zeros(n, dtype=np.complex128)

@@ -1,8 +1,13 @@
 import json
+import sys
+from dataclasses import fields
 
 import pytest
 
-from tfamalgam.cli import ConfigError, build_config, main, render_csv, run, table_from_summary
+from tfamalgam import experiments, make_grid, norms, sample
+from tfamalgam.cli import ConfigError, RunConfig, build_config, main, render_csv, run, table_from_summary
+from tfamalgam.families import SYMBOL_EVALUATORS, gaussian_family
+from tfamalgam.grid import phase_space_symbol
 
 
 def _run(args):
@@ -299,3 +304,79 @@ def test_repeated_lattice_value_in_a_config_file_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("config error:")
     with pytest.raises(ConfigError):
         build_config(["scan-stft", "--config", str(cfg)])
+
+
+def _wrap_everywhere(monkeypatch, module, attr, calls):
+    """Replace ``module.attr`` by a call-recording wrapper in every library module that holds it."""
+    fn = getattr(module, attr)
+
+    def wrapper(*args, **kwargs):
+        calls.append(attr)
+        return fn(*args, **kwargs)
+
+    holders = [m for n, m in sys.modules.items() if n == "tfamalgam" or n.startswith("tfamalgam.")]
+    for holder in holders:
+        for key, value in list(vars(holder).items()):
+            if value is fn:
+                monkeypatch.setattr(holder, key, wrapper)
+
+
+def test_tables_reach_functions_wrapped_after_import(monkeypatch, tmp_path):
+    # a tracer replaces module globals after import: a table entry that held the
+    # function object itself would run the unwrapped function
+    calls = []
+    for module, attr in ((norms, "modulation_norm_triebel"), (norms, "symbol_mixed_norm"), (experiments, "scan_locop")):
+        _wrap_everywhere(monkeypatch, module, attr, calls)
+    grid = make_grid(16, 16)
+    norms.evaluate_norm(norms.NormSpec("modulation_triebel", (2, 2)), sample(gaussian_family(1.0), grid))
+    symbol = phase_space_symbol(grid, SYMBOL_EVALUATORS["gaussian"])
+    norms.evaluate_norm(norms.NormSpec("symbol_mixed", (2, 2, 2, 2)), symbol)
+    assert calls == ["modulation_norm_triebel", "symbol_mixed_norm"]
+    for command in ("scan-locop", "scan-locop-lq"):
+        args = [command, "--lattice", "0.5", "--lambdas", "2 4 8 16", "--out", str(tmp_path / command)]
+        assert main(args) == 0
+    assert calls[2:] == ["scan_locop", "scan_locop"]
+
+
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        ("norm", "[op]\nfamily = nosuch\n", "unknown family 'nosuch'"),
+        ("stft", "[op]\nwindow = nosuch\n", "unknown window 'nosuch'"),
+        ("locop", "[op]\nsymbol = nosuch\n", "unknown symbol 'nosuch'"),
+        ("norm", "[op]\nkind = nosuch\n", "unknown norm kind 'nosuch'"),
+        ("norm", "[run]\nformat = xml\n", "unknown output format 'xml'"),
+    ],
+)
+def test_unknown_name_in_a_config_file_exits_2(tmp_path, capsys, command, text, message):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(text)
+    out = tmp_path / "x"
+    assert _run([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+def test_unknown_format_of_a_config_built_in_code_exits_before_any_output(tmp_path):
+    out = tmp_path / "x"
+    with pytest.raises(ConfigError, match="unknown output format 'xml'"):
+        run(RunConfig("norm", out=str(out), format="xml"))
+    assert not out.exists()
+
+
+# every choice of a flag, run by a command that reads that flag
+_CHOICE_COMMANDS = {"format": "norm", "kind": "norm", "family": "norm", "window": "stft", "symbol": "locop"}
+
+
+@pytest.mark.parametrize(
+    "command, flag, choice",
+    [
+        (_CHOICE_COMMANDS[f.name], "--" + f.name, choice)
+        for f in fields(RunConfig)
+        for choice in f.metadata["flag"].get("choices", ())
+    ],
+)
+def test_every_choice_runs(tmp_path, command, flag, choice):
+    out = tmp_path / "x"
+    assert _run([command, flag, choice, "--grid-l", "16", "--grid-m", "16", "--out", str(out)]) == 0
+    assert (out / f"{command}_summary.json").exists()

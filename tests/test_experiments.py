@@ -183,11 +183,6 @@ def test_locop_lq_scan_point():
     assert v.classified == "unbounded"
 
 
-def test_locop_lq_rejects_symbol_override():
-    with pytest.raises(ValueError):
-        scan_locop_lq([(2, 2)], LocopScanSettings(symbol_p=1))
-
-
 def test_scan_guard_needs_four_points():
     settings = LocopScanSettings(lambdas=(2.0, 4.0, 8.0, 1024.0), grid=make_grid(4, 128))
     with pytest.raises(ValueError, match="guard"):

@@ -28,7 +28,7 @@ from tfamalgam.norms import lp_norm
 def test_make_grid_small_points():
     g = make_grid(2, 2)
     assert np.allclose(g.points, [-1.0, -0.5, 0.0, 0.5])
-    assert np.allclose(g.freqs, [-1.0, -0.5, 0.0, 0.5])
+    assert np.allclose(g.dual.points, [-1.0, -0.5, 0.0, 0.5])
 
 
 def test_make_grid_arithmetic():
@@ -134,7 +134,7 @@ def test_sample_chirp_alias_warning(grid16):
 
 
 def test_alias_guard_values():
-    assert max_alias_free_lambda(make_grid(2, 64), 1.0, margin=8.0) == 24.0
+    assert max_alias_free_lambda(make_grid(2, 64), 1.0) == 24.0
     g1, g2 = make_grid(2, 64), make_grid(2, 128)
     assert max_alias_free_lambda(g2, 1.0) == 2 * max_alias_free_lambda(g1, 1.0)
     with pytest.raises(ValueError):
