@@ -35,6 +35,7 @@ from .experiments import (
     DEFAULT_LQ_SETTINGS,
     INVERSE_LATTICE,
     WINDOWS,
+    CheckRecord,
     LocopScanSettings,
     StftScanSettings,
     default_lattice,
@@ -42,6 +43,7 @@ from .experiments import (
     scan_locop_lq,
     scan_stft,
     verification_suite,
+    _record,
 )
 from .families import (
     SYMBOL_EVALUATORS,
@@ -129,8 +131,6 @@ class RunConfig:
     s: str = _option("op", "2")
 
 
-_SECTION_KEY_ALIASES = {("grid", "l"): "grid_l", ("grid", "m"): "grid_m"}
-
 _EXPONENT_FIELDS = ("p", "q", "r", "s")
 _SCAN_FIELDS = ("lambdas", "lattice", "margin")
 _SIGNAL_FIELDS = ("grid_l", "grid_m", "family", "lam")
@@ -147,10 +147,9 @@ def load_config_file(path: str) -> dict:
         if section not in sections.values():
             raise ConfigError(f"unknown config section [{section}]")
         for key, raw in parser.items(section):
-            name = _SECTION_KEY_ALIASES.get((section, key), key)
-            if sections.get(name) != section:
+            if sections.get(key) != section:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
-            values[name] = raw
+            values[key] = raw
     return values
 
 
@@ -232,14 +231,7 @@ def build_config(argv) -> RunConfig:
 # table rendering
 
 
-def _native(v):
-    if isinstance(v, (np.floating, np.integer)):
-        return v.item()
-    return v
-
-
 def _fmt_cell(v) -> str:
-    v = _native(v)
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):
@@ -259,27 +251,13 @@ def table_from_summary(summary: dict) -> str:
     return render_csv(summary["columns"], summary["records"])
 
 
-def _clean_record(rec: dict) -> dict:
-    return {k: _native(v) for k, v in rec.items()}
-
-
 @dataclass
 class RunResult:
     columns: list
     records: list
-    assertions: list
+    assertions: list[CheckRecord]
     sample_columns: list | None = None
     sample_records: list | None = None
-
-
-def _assertion(name, status, measured, expected, tolerance) -> dict:
-    return {
-        "name": name,
-        "status": status,
-        "measured": _native(measured),
-        "expected": _native(expected),
-        "tolerance": _native(tolerance),
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -293,9 +271,9 @@ def _inputs(cfg: RunConfig):
 
 
 def _run_verify(cfg: RunConfig) -> RunResult:
-    records = [asdict(check) for check in verification_suite(seed=cfg.seed)]
-    columns = ["name", "status", "measured", "expected", "tolerance"]
-    return RunResult(columns, records, [_assertion(**row) for row in records])
+    checks = verification_suite(seed=cfg.seed)
+    columns = [f.name for f in fields(CheckRecord)]
+    return RunResult(columns, [asdict(check) for check in checks], checks)
 
 
 # command: (scan, default settings, the sweep fields --lambdas sets,
@@ -349,7 +327,7 @@ def _run_scan(cfg: RunConfig) -> RunResult:
             samples.append({**row, "kind": "fit", "lambda": "", "value": "", "slope": fit.slope})
         ok = v.boundary_excluded or v.predicted == v.classified
         assertions.append(
-            _assertion(
+            CheckRecord(
                 f"region[{first}={v.exponents[0]},{second}={v.exponents[1]}]",
                 "pass" if ok else "fail",
                 v.measured_slope,
@@ -396,10 +374,7 @@ def _run_stft(cfg: RunConfig) -> RunResult:
         {"quantity": "amalgam_22", "value": amalgam_norm(v, 2, 2)},
         {"quantity": "orthogonality_ratio", "value": ortho},
     ]
-    assertions = [
-        _assertion("stft-orthogonality", "pass" if abs(ortho - 1) < 1e-6 else "fail", ortho, 1.0, 1e-6)
-    ]
-    return RunResult(columns, records, assertions)
+    return RunResult(columns, records, [_record("stft-orthogonality", ortho, 1.0, 1e-6)])
 
 
 def _run_locop(cfg: RunConfig) -> RunResult:
@@ -417,11 +392,7 @@ def _run_locop(cfg: RunConfig) -> RunResult:
     if cfg.symbol == "unit" and cfg.window == "gaussian-unit":
         residual = float(np.abs(out.samples - f.samples).max() / np.abs(f.samples).max())
         records.append({"quantity": "identity_residual", "value": residual})
-        assertions.append(
-            _assertion(
-                "locop-identity", "pass" if residual < 1e-6 else "fail", residual, 0.0, 1e-6
-            )
-        )
+        assertions.append(_record("locop-identity", residual, 0.0, 1e-6))
     return RunResult(columns, records, assertions)
 
 
@@ -446,7 +417,6 @@ def run(cfg: RunConfig) -> int:
         result = _COMMANDS[cfg.command][0](cfg)
     except ValueError as exc:  # a domain error in the configured values
         raise ConfigError(str(exc)) from exc
-    records = [_clean_record(r) for r in result.records]
 
     out_dir = Path(cfg.out)
     try:
@@ -457,10 +427,10 @@ def run(cfg: RunConfig) -> int:
     summary = {
         "command": cfg.command,
         # tuples serialize as lists; normalize for byte-stable round trips
-        "config": {k: list(v) if isinstance(v, tuple) else _native(v) for k, v in asdict(cfg).items()},
-        "assertions": result.assertions,
+        "config": {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(cfg).items()},
+        "assertions": [asdict(a) for a in result.assertions],
         "columns": result.columns,
-        "records": records,
+        "records": result.records,
         "versions": {
             "tfamalgam": __version__,
             "numpy": np.__version__,
@@ -468,21 +438,20 @@ def run(cfg: RunConfig) -> int:
         },
     }
 
-    (out_dir / f"{cfg.command}.{cfg.format}").write_text(render(result.columns, records), encoding="utf-8")
+    (out_dir / f"{cfg.command}.{cfg.format}").write_text(render(result.columns, result.records), encoding="utf-8")
     if result.sample_records is not None:
-        sample_records = [_clean_record(r) for r in result.sample_records]
         summary["sample_columns"] = result.sample_columns
-        summary["sample_records"] = sample_records
+        summary["sample_records"] = result.sample_records
         (out_dir / f"{cfg.command}_samples.csv").write_text(
-            render_csv(result.sample_columns, sample_records), encoding="utf-8"
+            render_csv(result.sample_columns, result.sample_records), encoding="utf-8"
         )
     (out_dir / f"{cfg.command}_summary.json").write_text(
         json.dumps(summary, indent=2) + "\n", encoding="utf-8"
     )
 
-    failed = [a for a in result.assertions if a["status"] != "pass"]
+    failed = [a for a in result.assertions if a.status != "pass"]
     for a in result.assertions:
-        print(f"[{a['status']}] {a['name']}: measured={a['measured']:.6g}")
+        print(f"[{a.status}] {a.name}: measured={a.measured:.6g}")
     print(f"{cfg.command}: {len(result.assertions) - len(failed)}/{len(result.assertions)} assertions passed; artifacts in {out_dir}")
     return 1 if failed else 0
 

@@ -21,6 +21,7 @@ from .families import (
     bump,
     chirp_family,
     gaussian_family,
+    predicted_exponent,
     sharpness_symbol,
 )
 from .grid import (
@@ -104,7 +105,7 @@ def fit_scaling(points) -> ScalingFitResult:
     y = np.log(vals)
     slope, intercept = np.polyfit(x, y, 1)
     resid = np.abs(y - (slope * x + intercept)).max()
-    return ScalingFitResult(tuple(lams), tuple(vals), float(slope), float(intercept), float(resid))
+    return ScalingFitResult(tuple(lams.tolist()), tuple(vals.tolist()), float(slope), float(intercept), float(resid))
 
 
 # ---------------------------------------------------------------------------
@@ -300,10 +301,10 @@ def scan_stft(points, settings: StftScanSettings | None = None) -> list[RegionVe
     for pi, (p, q) in enumerate(pts):
         inv_p, inv_q = p.reciprocal, q.reciprocal
         fits = {"stft_amalgam_ratio": fit_scaling(zip(lams_a, vals_a[pi]))}
-        growth = 0.5 * inv_p - 0.5 * (1.0 - inv_q)
+        growth = predicted_exponent("stft-amalgam", q=q) - predicted_exponent("gaussian-amalgam", p=p)
         if runs_b[pi]:
             fits["chirp_lq_ratio"] = fit_scaling(zip(lams_b, vals_b[pi]))
-            growth = max(growth, inv_q - 0.5)
+            growth = max(growth, predicted_exponent("chirp-ft", q=q))
         bounded = (inv_q <= 0.5 + _REGION_TOL) and (inv_p <= 1.0 - inv_q + _REGION_TOL)
         verdicts.append(_verdict((inv_q, inv_p), (p, q), bounded, growth, fits, settings.margin))
     return verdicts
@@ -384,7 +385,7 @@ def scan_locop(points, settings: LocopScanSettings | None = None) -> list[Region
             input_norm = amalgam_norm(d.probe_in, r_eff, r_eff)
             values.append(lp_norm(d.chi_af, r_eff) / (symbol_norm * input_norm))
         fits = {"sharpness_ratio": fit_scaling(zip(lams, values))}
-        growth = abs(inv_r - 0.5) - inv_q
+        growth = predicted_exponent("locop-sharpness-ratio", q=q, r=r)
         bounded = inv_q >= abs(inv_r - 0.5) - _REGION_TOL
         verdicts.append(_verdict((inv_r, inv_q), (q, r), bounded, growth, fits, settings.margin))
     return verdicts

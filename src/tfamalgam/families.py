@@ -162,7 +162,7 @@ def predicted_exponent(claim: str, p=None, q=None, r=None) -> float:
     gaussian-amalgam:       ||gaussian_lam||_W(Lp,Lq)   ~ lam^(-1/(2p))
     stft-amalgam:           ||V_phi gaussian_lam||_W    ~ lam^(-1/(2q'))
     locop-lower:            ||chi A f||_r               ~ lam^(-1/r)
-    locop-sharpness-ratio:  operator sharpness ratio    ~ lam^(1/2 - 1/q - 1/r)
+    locop-sharpness-ratio:  operator sharpness ratio    ~ lam^(|1/r - 1/2| - 1/q)
     """
     if claim not in _CLAIMS:
         raise ValueError(f"unknown claim id {claim!r}; known: {sorted(_CLAIMS)}")
@@ -180,4 +180,4 @@ def predicted_exponent(claim: str, p=None, q=None, r=None) -> float:
         return -0.5 * (1.0 - inv["q"])
     if claim == "locop-lower":
         return -inv["r"]
-    return 0.5 - inv["q"] - inv["r"]
+    return abs(inv["r"] - 0.5) - inv["q"]

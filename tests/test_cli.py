@@ -2,12 +2,13 @@ import json
 import sys
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
-from tfamalgam import experiments, make_grid, norms, sample
+from tfamalgam import cli, experiments, make_grid, norms, sample
 from tfamalgam.cli import ConfigError, RunConfig, build_config, main, render_csv, run, table_from_summary
 from tfamalgam.families import SYMBOL_EVALUATORS, gaussian_family
-from tfamalgam.grid import phase_space_symbol
+from tfamalgam.grid import make_signal, phase_space_symbol
 
 
 def _run(args):
@@ -91,6 +92,35 @@ def test_config_file_and_override(tmp_path):
     bad.write_text("[nosuch]\nx = 1\n")
     with pytest.raises(ConfigError):
         build_config(["norm", "--config", str(bad)])
+
+
+def test_a_config_key_is_the_field_name(tmp_path, capsys):
+    short = tmp_path / "short.ini"
+    short.write_text("[grid]\nl = 8\n")
+    assert _run(["norm", "--config", str(short), "--out", str(tmp_path / "s")]) == 2
+    assert "unknown key 'l' in section [grid]" in capsys.readouterr().err
+    full = tmp_path / "full.ini"
+    full.write_text("[grid]\ngrid_l = 8\n")
+    assert _run(["norm", "--config", str(full), "--out", str(tmp_path / "f")]) == 0
+    assert json.loads((tmp_path / "f" / "norm_summary.json").read_text())["config"]["grid_l"] == 8
+
+
+def test_locop_identity_passes_at_its_tolerance_as_in_the_battery(monkeypatch, tmp_path):
+    # an operator output off by exactly the tolerance: the command and the
+    # battery judge a check by one rule, experiments._record
+    def off_by_the_tolerance(a, w1, w2, f):
+        samples = f.samples.copy()
+        assert np.abs(samples).max() == 1.0
+        samples[np.flatnonzero(samples == 0)[0]] = 1e-6
+        return make_signal(f.grid, samples)
+
+    monkeypatch.setattr(cli, "apply_locop", off_by_the_tolerance)
+    out = tmp_path / "l"
+    code = _run(["locop", "--symbol", "unit", "--window", "gaussian-unit", "--family", "bump", "--out", str(out)])
+    [check] = json.loads((out / "locop_summary.json").read_text())["assertions"]
+    assert check["measured"] == 1e-6
+    assert check["status"] == experiments._record("locop-identity", 1e-6, 0.0, 1e-6).status == "pass"
+    assert code == 0
 
 
 def test_locop_identity_assertion(tmp_path):

@@ -22,6 +22,7 @@ from tfamalgam.experiments import (
     schur_consistency_suite,
     verification_suite,
 )
+from tfamalgam.families import predicted_exponent
 
 
 # --- fitting -----------------------------------------------------------------
@@ -187,6 +188,34 @@ def test_scan_guard_needs_four_points():
     settings = LocopScanSettings(lambdas=(2.0, 4.0, 8.0, 1024.0), grid=make_grid(4, 128))
     with pytest.raises(ValueError, match="guard"):
         scan_locop([(2, 2)], settings)
+
+
+def test_predicted_growth_is_the_law_of_the_probes_that_ran():
+    # the warm-up grids of the benchmark: the laws depend on the exponents alone
+    lattice = default_lattice()
+    stft_settings = StftScanSettings(
+        lambdas_smooth=(1.0, 2.0, 4.0, 8.0),
+        lambdas_chirp=(2.0, 4.0, 8.0, 16.0),
+        smooth_grid=make_grid(16, 16),
+        chirp_grid=make_grid(8, 64),
+    )
+    raised_by_chirp = 0
+    for (p, q), v in zip(lattice, scan_stft(lattice, stft_settings)):
+        law = predicted_exponent("stft-amalgam", q=q) - predicted_exponent("gaussian-amalgam", p=p)
+        # probe B runs where p > q and the growth is the larger of the two laws
+        assert ("chirp_lq_ratio" in v.fits) == (p.reciprocal < q.reciprocal)
+        if "chirp_lq_ratio" in v.fits:
+            raised_by_chirp += predicted_exponent("chirp-ft", q=q) > law
+            law = max(law, predicted_exponent("chirp-ft", q=q))
+        assert v.predicted_growth == law
+    assert raised_by_chirp > 0
+    locop_settings = (
+        (scan_locop, LocopScanSettings(lambdas=(2.0, 4.0, 8.0, 16.0), grid=make_grid(4, 64))),
+        (scan_locop_lq, LocopScanSettings(lambdas=(1.0, 2.0, 4.0, 8.0), grid=make_grid(8, 32), window="gaussian")),
+    )
+    for scan, settings in locop_settings:
+        for (q, r), v in zip(lattice, scan(lattice, settings)):
+            assert v.predicted_growth == predicted_exponent("locop-sharpness-ratio", q=q, r=r)
 
 
 def test_default_lattice_shape():
