@@ -216,6 +216,8 @@ def build_config(argv) -> RunConfig:
         value = getattr(cfg, name)
         if value is not None and not np.all(np.isfinite(value)):
             raise ConfigError(f"{name} must be finite, got {value!r}")
+    if cfg.margin is not None and cfg.margin <= 0:
+        raise ConfigError(f"margin must be positive, got {cfg.margin!r}")
     if cfg.lattice is not None and any(not 0.0 <= v <= 1.0 for v in cfg.lattice):
         raise ConfigError("lattice values are reciprocal exponents and must lie in [0, 1]")
     if cfg.lattice is not None and len(set(cfg.lattice)) != len(cfg.lattice):

@@ -146,38 +146,30 @@ def sharpness_symbol(profile: WindowSpec, lam: float, grid: Grid1D) -> SampledSy
     return make_symbol(grid, grid.dual, out)
 
 
-_CLAIMS = {
-    "chirp-ft": ("q",),
-    "gaussian-amalgam": ("p",),
-    "stft-amalgam": ("q",),
-    "locop-lower": ("r",),
-    "locop-sharpness-ratio": ("q", "r"),
+#: claim -> the dimension-1 exponent of its power law lam^e, as a function of
+#: the reciprocals of the exponents it names (parameter inv_q takes 1/q)
+_LAWS = {
+    "chirp-ft": lambda inv_q: inv_q - 0.5,  # ||FT of chirp||_q
+    "gaussian-amalgam": lambda inv_p: -0.5 * inv_p,  # ||gaussian_lam||_W(Lp,Lq)
+    "stft-amalgam": lambda inv_q: -0.5 * (1.0 - inv_q),  # ||V_phi gaussian_lam||_W(Lp,Lq)
+    "locop-lower": lambda inv_r: -inv_r,  # ||chi A f||_r
+    "locop-sharpness-ratio": lambda inv_q, inv_r: abs(inv_r - 0.5) - inv_q,  # operator sharpness ratio
 }
 
 
 def predicted_exponent(claim: str, p=None, q=None, r=None) -> float:
-    """Dimension-1 scaling exponent predicted for a named claim.
+    """Dimension-1 scaling exponent of a named claim: its law in ``_LAWS``.
 
-    chirp-ft:               ||FT of chirp||_q           ~ lam^(1/q - 1/2)
-    gaussian-amalgam:       ||gaussian_lam||_W(Lp,Lq)   ~ lam^(-1/(2p))
-    stft-amalgam:           ||V_phi gaussian_lam||_W    ~ lam^(-1/(2q'))
-    locop-lower:            ||chi A f||_r               ~ lam^(-1/r)
-    locop-sharpness-ratio:  operator sharpness ratio    ~ lam^(|1/r - 1/2| - 1/q)
+    The law's parameters name the exponents the claim needs.
     """
-    if claim not in _CLAIMS:
-        raise ValueError(f"unknown claim id {claim!r}; known: {sorted(_CLAIMS)}")
-    need = _CLAIMS[claim]
+    if claim not in _LAWS:
+        raise ValueError(f"unknown claim id {claim!r}; known: {sorted(_LAWS)}")
+    law = _LAWS[claim]
+    code = law.__code__
+    need = [name.removeprefix("inv_") for name in code.co_varnames[: code.co_argcount]]
     given = {"p": p, "q": q, "r": r}
     for name in need:
         if given[name] is None:
             raise ValueError(f"claim {claim!r} needs exponent {name!r}")
     inv = {k: as_exponent(v).reciprocal for k, v in given.items() if v is not None}
-    if claim == "chirp-ft":
-        return inv["q"] - 0.5
-    if claim == "gaussian-amalgam":
-        return -0.5 * inv["p"]
-    if claim == "stft-amalgam":
-        return -0.5 * (1.0 - inv["q"])
-    if claim == "locop-lower":
-        return -inv["r"]
-    return abs(inv["r"] - 0.5) - inv["q"]
+    return law(*(inv[name] for name in need))

@@ -53,15 +53,6 @@ class ExtendedExponent:
             raise ValueError(f"exponent must be >= 1 or inf, got {self.value!r}")
         object.__setattr__(self, "value", v)
 
-    @classmethod
-    def parse(cls, text) -> "ExtendedExponent":
-        """Parse 'inf', a fraction 'a/b', or a plain number."""
-        if isinstance(text, ExtendedExponent):
-            return text
-        if isinstance(text, (int, float)):
-            return cls(float(text))
-        return _parse_exponent_text(str(text))
-
     @property
     def is_inf(self) -> bool:
         return math.isinf(self.value)
@@ -101,8 +92,13 @@ def _parse_exponent_text(text: str) -> ExtendedExponent:
 
 
 def as_exponent(p) -> ExtendedExponent:
-    """Coerce a number, string, or ExtendedExponent to an ExtendedExponent."""
-    return ExtendedExponent.parse(p)
+    """Coerce a number, a string ('inf', a fraction 'a/b' or a plain number),
+    or an ExtendedExponent to an ExtendedExponent."""
+    if isinstance(p, ExtendedExponent):
+        return p
+    if isinstance(p, (int, float)):
+        return ExtendedExponent(float(p))
+    return _parse_exponent_text(str(p))
 
 
 @dataclass(frozen=True)

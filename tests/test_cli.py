@@ -164,15 +164,16 @@ def test_scan_samples_file(tmp_path):
 
 
 def test_failed_assertion_exits_1(tmp_path):
-    # an impossible margin forces a classification mismatch at a bounded point
+    # at the bounded edge point q = inf, r = 2 (growth 0) this short sweep fits
+    # a slope near 0.06, so a margin of 0.01 classifies it unbounded
     out = tmp_path / "fail"
     code = _run(
-        ["scan-locop", "--lattice", "1", "--lambdas", "2 4 8 16",
-         "--margin", "-1", "--out", str(out)]
+        ["scan-locop", "--lattice", "0 0.5", "--lambdas", "2 4 8 16",
+         "--margin", "0.01", "--out", str(out)]
     )
     assert code == 1
     summary = json.loads((out / "scan-locop_summary.json").read_text())
-    assert any(a["status"] == "fail" for a in summary["assertions"])
+    assert [a["name"] for a in summary["assertions"] if a["status"] == "fail"] == ["region[q=inf,r=2]"]
 
 
 def test_scan_stft_table_columns(tmp_path):
@@ -283,6 +284,23 @@ def test_non_finite_value_in_a_config_file_exits_2(tmp_path, capsys):
     cfg.write_text("[op]\nlam = nan\n")
     assert _run(["norm", "--config", str(cfg), "--out", str(tmp_path / "n")]) == 2
     assert capsys.readouterr().err.startswith("config error:")
+
+
+@pytest.mark.parametrize("margin", ["0", "-0.5"])
+@pytest.mark.parametrize("from_file", [False, True], ids=["flag", "file"])
+def test_margin_not_positive_exits_2(tmp_path, capsys, margin, from_file):
+    # a margin <= 0 is a configuration error, not a failed region claim
+    out = tmp_path / "x"
+    args = ["scan-locop-lq", "--lattice", "0.5", "--out", str(out)]
+    if from_file:
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[scan]\nmargin = {margin}\n")
+        args += ["--config", str(cfg)]
+    else:
+        args += ["--margin", margin]
+    assert _run(args) == 2
+    assert capsys.readouterr().err.startswith("config error: margin must be positive")
+    assert not out.exists()
 
 
 def test_scan_stft_rows_samples_and_record_keys(tmp_path):

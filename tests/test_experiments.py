@@ -190,6 +190,13 @@ def test_scan_guard_needs_four_points():
         scan_locop([(2, 2)], settings)
 
 
+def _assert_paper_region(v, bounded):
+    # the paper's region, written from the reciprocals alone; every growth on the
+    # default lattice is a multiple of 1/8, so none falls in the boundary band (0, 0.1)
+    assert v.predicted == ("bounded" if bounded else "unbounded")
+    assert not v.boundary_excluded
+
+
 def test_predicted_growth_is_the_law_of_the_probes_that_ran():
     # the warm-up grids of the benchmark: the laws depend on the exponents alone
     lattice = default_lattice()
@@ -208,6 +215,7 @@ def test_predicted_growth_is_the_law_of_the_probes_that_ran():
             raised_by_chirp += predicted_exponent("chirp-ft", q=q) > law
             law = max(law, predicted_exponent("chirp-ft", q=q))
         assert v.predicted_growth == law
+        _assert_paper_region(v, q.reciprocal <= 0.5 and p.reciprocal <= 1.0 - q.reciprocal)
     assert raised_by_chirp > 0
     locop_settings = (
         (scan_locop, LocopScanSettings(lambdas=(2.0, 4.0, 8.0, 16.0), grid=make_grid(4, 64))),
@@ -216,6 +224,7 @@ def test_predicted_growth_is_the_law_of_the_probes_that_ran():
     for scan, settings in locop_settings:
         for (q, r), v in zip(lattice, scan(lattice, settings)):
             assert v.predicted_growth == predicted_exponent("locop-sharpness-ratio", q=q, r=r)
+            _assert_paper_region(v, q.reciprocal >= abs(r.reciprocal - 0.5))
 
 
 def test_default_lattice_shape():
