@@ -148,19 +148,20 @@ class Grid1D:
 
     def shift_index(self, x: float) -> int:
         """Sample index of a translation by x; x must be a multiple of h."""
-        rel = x * self.m
-        k = round(rel)
-        if abs(rel - k) > _LATTICE_RTOL * max(1.0, abs(rel)):
-            raise ValueError(f"shift x={x} is not a multiple of the grid step 1/{self.m}")
-        return int(k)
+        return _lattice_index(x, self.m, "shift x={} is not a multiple of the grid step 1/{}")
 
     def freq_index(self, omega: float) -> int:
         """Lattice index of a modulation frequency; must be a multiple of 1/L."""
-        rel = omega * self.L
-        k = round(rel)
-        if abs(rel - k) > _LATTICE_RTOL * max(1.0, abs(rel)):
-            raise ValueError(f"frequency {omega} is not a multiple of 1/{self.L}")
-        return int(k)
+        return _lattice_index(omega, self.L, "frequency {} is not a multiple of 1/{}")
+
+
+def _lattice_index(value: float, density: int, error: str) -> int:
+    """``value * density`` as an int; raises ``error.format(value, density)`` if it is not one."""
+    rel = value * density
+    k = round(rel)
+    if abs(rel - k) > _LATTICE_RTOL * max(1.0, abs(rel)):
+        raise ValueError(error.format(value, density))
+    return int(k)
 
 
 def make_grid(L: int, m: int) -> Grid1D:

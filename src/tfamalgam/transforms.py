@@ -16,7 +16,6 @@ import contextvars
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -27,9 +26,10 @@ from .grid import (
     inner_product,
     make_signal,
     make_symbol,
+    phase_space_symbol,
 )
 
-_CHUNK_ELEMENTS = 1 << 21  # rows are processed in blocks of about this many samples
+_CHUNK_ELEMENTS = 1 << 21  # samples in one norm band task; a row task holds an eighth
 
 
 def _workers() -> int:
@@ -174,16 +174,6 @@ def _each_rows(fn, runs, width: int) -> None:
     _each(fn, _chunks(runs, _task_rows(width)))
 
 
-def _column_bands(width: int, rows: int) -> list[slice]:
-    """Bands of columns that split ``rows`` rows of ``width`` samples into pool tasks.
-
-    Every band is at least two columns wide: numpy sums a single column
-    pairwise, and the row sums of ``synthesis`` must run in row order.
-    """
-    count = max(1, width // max(2, _task_rows(rows)))
-    return [slice(width * i // count, width * (i + 1) // count) for i in range(count)]
-
-
 def _symbol_stride(F: SampledSymbol, grid: Grid1D) -> int:
     """Check that ``F`` lives on a time sublattice of ``grid``'s phase space; return the time stride."""
     if F.w_grid != grid.dual:
@@ -244,37 +234,33 @@ def synthesis(F: SampledSymbol, g: SampledSignal) -> SampledSignal:
     """Adjoint-side phase-space sum: out = sum_{j,k} F(x_j,w_k) M_{w_k} T_{x_j} g * cell.
 
     The quadrature cell is (x-step) * (frequency step); with F = stft(f, g) at
-    full stride this inverts the STFT up to the factor ||g||_2^2.  Rows of F
-    that are all zero add nothing and are skipped.  The rows are summed in
-    blocks of ``_CHUNK_ELEMENTS // N`` rows, each in row order: tasks of
-    ``_each`` transform slices of a block's rows, then add bands of its
-    columns to the output, so the result does not depend on the CPU count.
+    full stride this inverts the STFT up to the factor ||g||_2^2.  All-zero
+    rows of F add nothing and are skipped; the others are summed in slabs of
+    ``_task_rows(N)`` rows, each in row order on a task of ``_each``, and the
+    slab sums in slab order, so the result does not depend on the CPU count.
     """
     grid = g.grid
     stride = _symbol_stride(F, grid)
     n = grid.N
-    runs = _nonzero_row_runs(F.samples)
-    out = np.zeros(n, dtype=np.complex128)
+    slabs = list(_chunks(_nonzero_row_runs(F.samples), _task_rows(n)))
+    workers = min(len(slabs), _workers())
     windows = _translates(g.samples)[n + n // 2 :: -stride][: F.samples.shape[0]]
     s = _alternating(n)
-    block = max(1, _CHUNK_ELEMENTS // n)
-    longest = max((stop - start for start, stop in runs), default=0)
-    # one reused buffer: each block is signed while it is copied in, transformed in place
-    buf = np.empty((min(block, longest), n), dtype=np.complex128)
+    sums = np.empty((len(slabs), n), dtype=np.complex128)
+    height = max((rows.stop - rows.start for rows in slabs), default=0)
+    # made here, not in the tasks: memory a worker thread frees stays in its malloc arena
+    bufs = np.empty((workers, height, n), dtype=np.complex128)
 
-    def transform(work: np.ndarray, start: int, part: slice) -> None:
-        piece, rows = work[part], slice(start + part.start, start + part.stop)
-        np.multiply(F.samples[rows], s, out=piece)
-        np.fft.ifft(piece, axis=-1, out=piece)
-        piece *= windows[rows]
+    def transform(worker: int) -> None:
+        for rows, total in zip(slabs[worker::workers], sums[worker::workers]):
+            slab = bufs[worker, : rows.stop - rows.start]
+            np.multiply(F.samples[rows], s, out=slab)
+            np.fft.ifft(slab, axis=-1, out=slab)
+            slab *= windows[rows]
+            slab.sum(axis=0, out=total)
 
-    def add_columns(work: np.ndarray, cols: slice) -> None:
-        out[cols] += work[:, cols].sum(axis=0)
-
-    for rows in _chunks(runs, block):
-        work = buf[: rows.stop - rows.start]
-        _each_rows(partial(transform, work, rows.start), ((0, len(work)),), n)
-        _each(partial(add_columns, work), _column_bands(n, len(work)))
+    _each(transform, range(workers))
+    out = sums.sum(axis=0)
     # the post-sign and the scale are the same for every row: apply them to the sum
     out *= s * (_center_sign(n) * n / F.w_grid.m * F.x_grid.h)
     return make_signal(grid, out)
@@ -302,9 +288,7 @@ def gaussian_stft_oracle(lam: float, x, omega):
 
 def gaussian_stft_symbol(lam: float, grid: Grid1D) -> SampledSymbol:
     """The Gaussian STFT closed form evaluated on the full phase-space lattice."""
-    dual = grid.dual
-    vals = gaussian_stft_oracle(lam, grid.points[:, None], dual.points[None, :])
-    return make_symbol(grid, dual, vals)
+    return phase_space_symbol(grid, lambda x, w: gaussian_stft_oracle(lam, x, w))
 
 
 def _circular_conv2(a: np.ndarray, b: np.ndarray, cell: float) -> np.ndarray:

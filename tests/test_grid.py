@@ -192,6 +192,15 @@ def test_off_lattice_rejected(phi):
         modulate(phi, 0.001)
 
 
+def test_off_lattice_errors_name_the_step_they_miss(phi):
+    with pytest.raises(ValueError) as shift:
+        translate(phi, 0.001)
+    with pytest.raises(ValueError) as frequency:
+        modulate(phi, 0.001)
+    assert str(shift.value) == "shift x=0.001 is not a multiple of the grid step 1/16"
+    assert str(frequency.value) == "frequency 0.001 is not a multiple of 1/16"
+
+
 # --- inner product -------------------------------------------------------
 
 

@@ -6,6 +6,7 @@ threaded result must be bit-identical to the single-worker one.
 """
 
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -187,7 +188,7 @@ def _gapped_stft(stride):
 
 @pytest.mark.parametrize("stride", [1, 2])
 def test_synthesis_is_bit_identical_for_any_worker_count(small_bands, stride):
-    # at stride 1 the runs span several blocks of 32 rows, each split into row tasks and column bands
+    # a slab holds 4 rows here, so the runs at either stride span many slabs per worker
     v = _gapped_stft(stride)
     g = sample(bump(0.0, 1.0), GRID)
     small_bands(1)
@@ -198,19 +199,53 @@ def test_synthesis_is_bit_identical_for_any_worker_count(small_bands, stride):
     assert np.abs(threaded).max() > 0.0
 
 
-@pytest.mark.parametrize(("grid", "chunk"), [(GRID, 1 << 12), (make_grid(2, 6), 128)])
-def test_synthesis_column_bands_sum_like_one_band(monkeypatch, small_bands, grid, chunk):
-    # at N = 12 a task holds 16 samples and a block 10 rows, so a band of one
-    # column would be summed pairwise by numpy instead of in row order
-    monkeypatch.setattr(transforms, "_CHUNK_ELEMENTS", chunk)
-    small_bands(2)
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_synthesis_adds_row_sums_of_slabs_in_slab_order(monkeypatch, workers):
+    # at N = 12 a slab holds 3 rows; row 4 is zero, so the runs (0, 4), (5, 12)
+    # make 5 slabs of 3, 1, 3, 3 and 1 rows, more than there are workers
+    grid = make_grid(2, 6)
+    n = grid.N
+    monkeypatch.setattr(transforms, "_CHUNK_ELEMENTS", 8 * n * 3)
+    monkeypatch.setattr(transforms, "_workers", lambda: workers)
     rng = np.random.default_rng(7)
-    shape = (grid.N, grid.N)
-    v = make_symbol(grid, grid.dual, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    g = make_signal(grid, rng.standard_normal(grid.N))
-    banded = synthesis(v, g).samples
-    monkeypatch.setattr(transforms, "_column_bands", lambda width, rows: [slice(0, width)])
-    assert np.array_equal(banded, synthesis(v, g).samples)
+    samples = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    samples[4] = 0.0
+    v = make_symbol(grid, grid.dual, samples)
+    g = make_signal(grid, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    t = np.arange(n)
+    s = np.where(t % 2, -1.0, 1.0)
+    windows = g.samples[(t[None, :] - (t[:, None] - n // 2)) % n]
+    profiles = np.fft.ifft(samples * s, axis=-1) * windows
+    total = None
+    for start, stop in [(0, 3), (3, 4), (5, 8), (8, 11), (11, 12)]:
+        slab = profiles[start]
+        for row in profiles[start + 1 : stop]:
+            slab = slab + row
+        total = slab if total is None else total + slab
+    sign = -1.0 if (n // 2) % 2 else 1.0
+    want = total * (s * (sign * n / grid.dual.m * grid.h))
+    assert np.array_equal(synthesis(v, g).samples, want)
+
+
+def test_synthesis_holds_no_block_of_the_symbol(monkeypatch):
+    # two workers hold one slab buffer each: the peak must stay below three
+    # slabs plus the slab sums and the output, about 12.5 MB at N = 2048
+    grid = make_grid(16, 128)
+    n = grid.N
+    f = make_signal(grid, np.random.default_rng(5).standard_normal(n))
+    g = standard_window(grid)
+    v = stft(f, g)
+    monkeypatch.setattr(transforms, "_workers", lambda: 2)
+    rows = transforms._task_rows(n)
+    bound = (3 * rows + n // rows + 1) * n * 16  # slabs, then one row per slab sum and the output
+    tracemalloc.start()
+    try:
+        out = synthesis(v, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.abs(out.samples).max() > 0.0
+    assert peak < bound
 
 
 def _sharpness_operator(grid=GRID, lam=3.0):

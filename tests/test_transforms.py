@@ -268,7 +268,7 @@ def test_domination_near_orthogonal(grid16, phi):
 
 @pytest.mark.parametrize("stride", [1, 4])
 def test_stft_and_synthesis_match_literal_gather_over_chunks(stride):
-    # at stride 1, N = 2048 runs the row loop over two blocks of _CHUNK_ELEMENTS;
+    # at stride 1, N = 2048 runs the row loop over 16 slabs of _CHUNK_ELEMENTS // 8;
     # the reference gathers every window by index and transforms out of place
     grid = make_grid(16, 128)
     n = grid.N
@@ -278,7 +278,7 @@ def test_stft_and_synthesis_match_literal_gather_over_chunks(stride):
     t = np.arange(n)
     s = np.where(t % 2, -1.0, 1.0)
     sign = -1.0 if (n // 2) % 2 else 1.0
-    block = _CHUNK_ELEMENTS // n
+    block = _CHUNK_ELEMENTS // 8 // n
     want_v = np.empty_like(V.samples)
     profiles = (sign * n / V.w_grid.m) * (s * np.fft.ifft(V.samples * s, axis=-1))
     want_s = np.zeros(n, dtype=np.complex128)
