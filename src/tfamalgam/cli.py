@@ -39,11 +39,12 @@ from .experiments import (
     LocopScanSettings,
     StftScanSettings,
     default_lattice,
+    locop_identity_check,
     scan_locop,
     scan_locop_lq,
     scan_stft,
+    stft_orthogonality_check,
     verification_suite,
-    _record,
 )
 from .families import (
     SYMBOL_EVALUATORS,
@@ -368,15 +369,15 @@ def _run_stft(cfg: RunConfig) -> RunResult:
     grid, f = _inputs(cfg)
     window = _lookup(WINDOWS, cfg.window, "window")(grid)
     v = stft(f, window)
-    ortho = lp_norm(v, 2) / (lp_norm(f, 2) * lp_norm(window, 2))
+    check = stft_orthogonality_check(v, f, window)
     columns = ["quantity", "value"]
     records = [
         {"quantity": "l2_norm", "value": lp_norm(v, 2)},
         {"quantity": "sup_norm", "value": lp_norm(v, "inf")},
         {"quantity": "amalgam_22", "value": amalgam_norm(v, 2, 2)},
-        {"quantity": "orthogonality_ratio", "value": ortho},
+        {"quantity": "orthogonality_ratio", "value": check.measured},
     ]
-    return RunResult(columns, records, [_record("stft-orthogonality", ortho, 1.0, 1e-6)])
+    return RunResult(columns, records, [check])
 
 
 def _run_locop(cfg: RunConfig) -> RunResult:
@@ -392,9 +393,9 @@ def _run_locop(cfg: RunConfig) -> RunResult:
     ]
     assertions = []
     if cfg.symbol == "unit" and cfg.window == "gaussian-unit":
-        residual = float(np.abs(out.samples - f.samples).max() / np.abs(f.samples).max())
-        records.append({"quantity": "identity_residual", "value": residual})
-        assertions.append(_record("locop-identity", residual, 0.0, 1e-6))
+        check = locop_identity_check(out, f)
+        records.append({"quantity": "identity_residual", "value": check.measured})
+        assertions.append(check)
     return RunResult(columns, records, assertions)
 
 

@@ -23,7 +23,7 @@ from .grid import (
     make_signal,
 )
 from .families import bump
-from .transforms import _CHUNK_ELEMENTS, _each, fourier, idft_centered, inverse_fourier, stft
+from .transforms import _each_rows, fourier, idft_centered, inverse_fourier, stft
 
 #: norm kind -> the norm of f at the kind's exponents; each entry looks its
 #: function up when called, so a wrapper installed on the module later is used
@@ -115,10 +115,10 @@ def _tile_reduce(tiles: np.ndarray, exponents, scale=None) -> list[np.ndarray]:
     ``_BLOCK`` elements is reduced in one go; a larger one in blocks of at
     most ``_BLOCK`` elements that never straddle a row of cubes (whole rows of
     cubes when they fit, else runs of rows within one), so the temporaries
-    stay in cache.  Bands of rows of cubes, about ``_CHUNK_ELEMENTS`` elements
-    each, are the tasks of ``_each``, so a view no larger than one band is
-    reduced inline.  The blocks are the same whatever the bands, so the sums
-    do not depend on the CPU count.
+    stay in cache.  Slices of rows of cubes, as ``_each_rows`` cuts them for
+    rows of ``tile_rows * row`` samples, are the pool tasks, so a view no
+    larger than one task is reduced inline.  Each cube is summed the same way
+    whatever the slices, so the sums do not depend on the CPU count.
     """
     if tiles.size <= _BLOCK:
         return _block_reduce(tiles, exponents, scale)
@@ -126,21 +126,21 @@ def _tile_reduce(tiles: np.ndarray, exponents, scale=None) -> list[np.ndarray]:
     row = n_cols * tile_cols
     band = max(1, _BLOCK // (tile_rows * row))  # rows of cubes per block
     step = min(tile_rows, max(1, _BLOCK // row))  # rows per block within a row of cubes
-    task = band * max(1, _CHUNK_ELEMENTS // (band * tile_rows * row))  # rows of cubes per task
     tables = [np.empty((n_rows, n_cols)) for _ in exponents]
 
-    def reduce_band(start: int) -> None:
-        for i in range(start, min(start + task, n_rows), band):
-            outs = [table[i : i + band] for table in tables]
-            part_scale = None if scale is None else scale[i : i + band]
-            for out, part in zip(outs, _block_reduce(tiles[i : i + band, :step], exponents, part_scale)):
+    def reduce_band(rows: slice) -> None:
+        for i in range(rows.start, rows.stop, band):
+            cubes = slice(i, min(i + band, rows.stop))
+            outs = [table[cubes] for table in tables]
+            part_scale = None if scale is None else scale[cubes]
+            for out, part in zip(outs, _block_reduce(tiles[cubes, :step], exponents, part_scale)):
                 out[...] = part
             for r in range(step, tile_rows, step):
-                parts = _block_reduce(tiles[i : i + band, r : r + step], exponents, part_scale)
+                parts = _block_reduce(tiles[cubes, r : r + step], exponents, part_scale)
                 for p, out, part in zip(exponents, outs, parts):
                     (np.maximum if p.is_inf else np.add)(out, part, out=out)
 
-    _each(reduce_band, range(0, n_rows, task))
+    _each_rows(reduce_band, ((0, n_rows),), tile_rows * row)
     return tables
 
 

@@ -29,7 +29,7 @@ from .grid import (
     phase_space_symbol,
 )
 
-_CHUNK_ELEMENTS = 1 << 21  # samples in one norm band task; a row task holds an eighth
+_TASK_ELEMENTS = 1 << 18  # samples in one pool task: rows of a transform or rows of cubes of a norm
 
 
 def _workers() -> int:
@@ -165,8 +165,8 @@ def _chunks(runs, block: int):
 
 
 def _task_rows(width: int) -> int:
-    """Rows of ``width`` samples in one pool task: about ``_CHUNK_ELEMENTS // 8`` samples."""
-    return max(1, _CHUNK_ELEMENTS // 8 // width)
+    """Rows of ``width`` samples in one pool task: about ``_TASK_ELEMENTS`` samples."""
+    return max(1, _TASK_ELEMENTS // width)
 
 
 def _each_rows(fn, runs, width: int) -> None:

@@ -8,7 +8,7 @@ import pytest
 from tfamalgam import cli, experiments, make_grid, norms, sample
 from tfamalgam.cli import ConfigError, RunConfig, build_config, main, render_csv, run, table_from_summary
 from tfamalgam.families import SYMBOL_EVALUATORS, gaussian_family
-from tfamalgam.grid import make_signal, phase_space_symbol
+from tfamalgam.grid import make_signal, make_symbol, phase_space_symbol
 
 
 def _run(args):
@@ -141,6 +141,28 @@ def test_stft_command(tmp_path):
     summary = json.loads((out / "stft_summary.json").read_text())
     quantities = {r["quantity"] for r in summary["records"]}
     assert "orthogonality_ratio" in quantities
+
+
+def test_stft_and_locop_rows_are_the_values_their_checks_measured(monkeypatch, tmp_path):
+    # a transform off by half and an operator off by a quarter: each row holds
+    # the value of the failed check beside it
+    real_stft = cli.stft
+
+    def off_by_half(f, g):
+        v = real_stft(f, g)
+        return make_symbol(v.x_grid, v.w_grid, 1.5 * v.samples)
+
+    monkeypatch.setattr(cli, "stft", off_by_half)
+    monkeypatch.setattr(cli, "apply_locop", lambda a, w1, w2, f: make_signal(f.grid, 1.25 * f.samples))
+    for command, row in (("stft", "orthogonality_ratio"), ("locop", "identity_residual")):
+        out = tmp_path / command
+        args = [command, "--window", "gaussian-unit", "--family", "bump", "--out", str(out)]
+        assert _run(args + (["--symbol", "unit"] if command == "locop" else [])) == 1
+        summary = json.loads((out / f"{command}_summary.json").read_text())
+        [check] = summary["assertions"]
+        values = {r["quantity"]: r["value"] for r in summary["records"]}
+        assert check["status"] == "fail" and values[row] == check["measured"]
+        assert check["measured"] == pytest.approx(1.5 if command == "stft" else 0.25, rel=1e-9)
 
 
 def test_json_format(tmp_path):

@@ -25,9 +25,9 @@ GRID = make_grid(4, 32)  # N = 128: the STFT has 4 rows of cubes of 4096 samples
 
 @pytest.fixture
 def small_bands(monkeypatch):
-    """Tasks of 4096 samples and cube-table blocks of 1024, so a 128 x 128 symbol spans 4 tasks."""
-    monkeypatch.setattr(transforms, "_CHUNK_ELEMENTS", 1 << 12)
-    monkeypatch.setattr(norms, "_CHUNK_ELEMENTS", 1 << 12)
+    """Tasks of 512 samples and cube-table blocks of 1024, so a 128 x 128 symbol spans
+    32 row tasks and its cube tables 4, one per row of cubes."""
+    monkeypatch.setattr(transforms, "_TASK_ELEMENTS", 1 << 9)
     monkeypatch.setattr(norms, "_BLOCK", 1 << 10)
 
     def use(workers):
@@ -104,9 +104,23 @@ def test_cube_tables_do_not_depend_on_the_band_size(monkeypatch, small_bands):
     small_bands(2)
     v = _probe()
     banded = _fresh_tables(v, EXPONENTS)
-    monkeypatch.setattr(norms, "_CHUNK_ELEMENTS", 1 << 21)  # one band: reduced inline
+    monkeypatch.setattr(transforms, "_TASK_ELEMENTS", 1 << 21)  # one task: reduced inline
     whole = _fresh_tables(v, EXPONENTS)
     for a, b in zip(whole, banded):
+        assert np.array_equal(a, b)
+
+
+def test_cube_tables_do_not_depend_on_a_partial_group_of_rows_of_cubes(monkeypatch):
+    # 16 rows of cubes of 1024 samples: blocks of 3 rows of cubes in tasks of 4
+    # leave a group of 1 at the end of every task
+    monkeypatch.setattr(norms, "_BLOCK", 3 << 10)
+    monkeypatch.setattr(transforms, "_workers", lambda: 2)
+    v = _probe(make_grid(16, 8))
+    monkeypatch.setattr(transforms, "_TASK_ELEMENTS", 1 << 12)
+    grouped = _fresh_tables(v, EXPONENTS)
+    monkeypatch.setattr(transforms, "_TASK_ELEMENTS", 1 << 21)  # one task: groups of 3 and a last 1
+    whole = _fresh_tables(v, EXPONENTS)
+    for a, b in zip(whole, grouped):
         assert np.array_equal(a, b)
 
 
@@ -205,7 +219,7 @@ def test_synthesis_adds_row_sums_of_slabs_in_slab_order(monkeypatch, workers):
     # make 5 slabs of 3, 1, 3, 3 and 1 rows, more than there are workers
     grid = make_grid(2, 6)
     n = grid.N
-    monkeypatch.setattr(transforms, "_CHUNK_ELEMENTS", 8 * n * 3)
+    monkeypatch.setattr(transforms, "_TASK_ELEMENTS", n * 3)
     monkeypatch.setattr(transforms, "_workers", lambda: workers)
     rng = np.random.default_rng(7)
     samples = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))

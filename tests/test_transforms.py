@@ -18,7 +18,7 @@ from tfamalgam import (
 )
 from tfamalgam.families import bump, chirp_family, gaussian_family
 from tfamalgam.norms import lp_norm
-from tfamalgam.transforms import _CHUNK_ELEMENTS, dft_centered
+from tfamalgam.transforms import _TASK_ELEMENTS, dft_centered
 
 
 def _rand_signal(grid, seed=0):
@@ -268,7 +268,7 @@ def test_domination_near_orthogonal(grid16, phi):
 
 @pytest.mark.parametrize("stride", [1, 4])
 def test_stft_and_synthesis_match_literal_gather_over_chunks(stride):
-    # at stride 1, N = 2048 runs the row loop over 16 slabs of _CHUNK_ELEMENTS // 8;
+    # at stride 1, N = 2048 runs the row loop over 16 slabs of _TASK_ELEMENTS;
     # the reference gathers every window by index and transforms out of place
     grid = make_grid(16, 128)
     n = grid.N
@@ -278,7 +278,7 @@ def test_stft_and_synthesis_match_literal_gather_over_chunks(stride):
     t = np.arange(n)
     s = np.where(t % 2, -1.0, 1.0)
     sign = -1.0 if (n // 2) % 2 else 1.0
-    block = _CHUNK_ELEMENTS // 8 // n
+    block = _TASK_ELEMENTS // n
     want_v = np.empty_like(V.samples)
     profiles = (sign * n / V.w_grid.m) * (s * np.fft.ifft(V.samples * s, axis=-1))
     want_s = np.zeros(n, dtype=np.complex128)
