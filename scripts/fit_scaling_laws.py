@@ -60,7 +60,7 @@ def main():
     for (q, r), verdict in zip(points, scan_locop(points)):
         show(
             f"q={q}, r={r}",
-            verdict.measured_slope,
+            verdict.check.measured,
             predicted_exponent("locop-sharpness-ratio", q=q, r=r),
         )
     if off:

@@ -219,6 +219,8 @@ def build_config(argv) -> RunConfig:
             raise ConfigError(f"{name} must be finite, got {value!r}")
     if cfg.margin is not None and cfg.margin <= 0:
         raise ConfigError(f"margin must be positive, got {cfg.margin!r}")
+    if cfg.lattice is not None and not cfg.lattice:
+        raise ConfigError("lattice must hold at least one value")
     if cfg.lattice is not None and any(not 0.0 <= v <= 1.0 for v in cfg.lattice):
         raise ConfigError("lattice values are reciprocal exponents and must lie in [0, 1]")
     if cfg.lattice is not None and len(set(cfg.lattice)) != len(cfg.lattice):
@@ -279,36 +281,35 @@ def _run_verify(cfg: RunConfig) -> RunResult:
     return RunResult(columns, [asdict(check) for check in checks], checks)
 
 
-# command: (scan, default settings, the sweep fields --lambdas sets,
-#           (first, second) exponent names, {probe: slope column});
-# the lattice iterates the reciprocals of the (first, second) pairs
+# command: (scan, default settings, the sweep fields --lambdas sets, {probe: slope column})
 _LOCOP_SLOPES = {"sharpness_ratio": "slope"}
 _SCANS = {
     "scan-stft": (
         lambda *args: scan_stft(*args),
         StftScanSettings(),
         ("lambdas_smooth", "lambdas_chirp"),
-        ("p", "q"),
         {"stft_amalgam_ratio": "slope_a", "chirp_lq_ratio": "slope_b"},
     ),
-    "scan-locop": (lambda *args: scan_locop(*args), LocopScanSettings(), ("lambdas",), ("q", "r"), _LOCOP_SLOPES),
-    "scan-locop-lq": (lambda *args: scan_locop_lq(*args), DEFAULT_LQ_SETTINGS, ("lambdas",), ("q", "r"), _LOCOP_SLOPES),
+    "scan-locop": (lambda *args: scan_locop(*args), LocopScanSettings(), ("lambdas",), _LOCOP_SLOPES),
+    "scan-locop-lq": (lambda *args: scan_locop_lq(*args), DEFAULT_LQ_SETTINGS, ("lambdas",), _LOCOP_SLOPES),
 }
 
 
 def _run_scan(cfg: RunConfig) -> RunResult:
-    scan, settings, sweep_fields, (first, second), slope_cols = _SCANS[cfg.command]
+    scan, settings, sweep_fields, slope_cols = _SCANS[cfg.command]
     overrides = dict.fromkeys(sweep_fields, cfg.lambdas) if cfg.lambdas is not None else {}
     if cfg.margin is not None:
         overrides["margin"] = cfg.margin
     pairs = default_lattice(cfg.lattice if cfg.lattice is not None else INVERSE_LATTICE)
     verdicts = scan(pairs, replace(settings, **overrides))
 
-    columns = [first, second, "predicted", *slope_cols.values()]
-    columns += ["classified", "residual", "boundary"]
-    records, samples, assertions = [], [], []
+    # the exponent columns are the names the scan gives; build_config keeps the
+    # lattice non-empty, so there is a first verdict to read them from
+    names = [name for name, _ in verdicts[0].exponents]
+    columns = [*names, "predicted", *slope_cols.values(), "classified", "residual", "boundary"]
+    records, samples = [], []
     for v in verdicts:
-        point = {first: v.exponents[0], second: v.exponents[1]}
+        point = dict(v.exponents)
         # a probe that did not run at this point leaves its column empty
         slopes = {col: v.fits[p].slope if p in v.fits else "" for p, col in slope_cols.items()}
         records.append(
@@ -328,18 +329,8 @@ def _run_scan(cfg: RunConfig) -> RunResult:
                 for lam, value in zip(fit.lambdas, fit.values)
             ]
             samples.append({**row, "kind": "fit", "lambda": "", "value": "", "slope": fit.slope})
-        ok = v.boundary_excluded or v.predicted == v.classified
-        assertions.append(
-            CheckRecord(
-                f"region[{first}={v.exponents[0]},{second}={v.exponents[1]}]",
-                "pass" if ok else "fail",
-                v.measured_slope,
-                v.predicted_growth,
-                v.margin,
-            )
-        )
-    sample_columns = [first, second, "probe", "kind", "lambda", "value", "slope"]
-    return RunResult(columns, records, assertions, sample_columns, samples)
+    sample_columns = [*names, "probe", "kind", "lambda", "value", "slope"]
+    return RunResult(columns, records, [v.check for v in verdicts], sample_columns, samples)
 
 
 def _run_norm(cfg: RunConfig) -> RunResult:

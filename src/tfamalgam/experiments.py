@@ -188,6 +188,30 @@ def lieb_check(p, r, trials) -> LiebReport:
 
 
 # ---------------------------------------------------------------------------
+# check records: each named check has one builder, whose record the battery,
+# the Schur suite, the region scans and the command line report
+
+
+@dataclass(frozen=True)
+class CheckRecord:
+    name: str
+    status: str
+    measured: float
+    expected: float
+    tolerance: float
+
+
+def _record(name, measured, expected, tolerance, mode="abs") -> CheckRecord:
+    if mode == "abs":
+        ok = abs(measured - expected) <= tolerance
+    elif mode == "le":
+        ok = measured <= expected + tolerance
+    else:
+        raise ValueError(mode)
+    return CheckRecord(name, "pass" if ok else "fail", float(measured), float(expected), tolerance)
+
+
+# ---------------------------------------------------------------------------
 # region scans
 
 
@@ -195,40 +219,38 @@ def lieb_check(p, r, trials) -> LiebReport:
 class RegionVerdict:
     """Outcome of a boundedness probe at one exponent pair.
 
-    ``point`` holds the figure coordinates (reciprocal exponents).  The pair
-    is predicted bounded where the growth law of the extremal family is <= 0,
-    and classified unbounded when the family's fitted growth exceeds the
-    margin.  Pairs with predicted growth in (0, 2*margin) are boundary cases:
-    the sweep cannot distinguish them from bounded, so they are excluded from
-    pass/fail comparisons.
+    ``point`` holds the figure coordinates (reciprocal exponents) and
+    ``exponents`` the (name, value) pairs of the scan.  The pair is predicted
+    bounded where the growth law of the extremal family is <= 0, and
+    classified unbounded when the family's fitted growth exceeds the margin.
+    Pairs with predicted growth in (0, 2*margin) are boundary cases: the sweep
+    cannot distinguish them from bounded, so they are excluded from pass/fail
+    comparisons.  ``check`` is the pair's ``region[...]`` record: the steepest
+    fitted slope against the predicted growth, within the margin.
     """
 
     point: tuple
     exponents: tuple
     predicted: str
-    predicted_growth: float
-    measured_slope: float
     classified: str
-    margin: float
     boundary_excluded: bool
+    check: CheckRecord
     fits: dict = field(default_factory=dict, compare=False)
 
 
-def _verdict(point, exponents, growth, fits, margin) -> RegionVerdict:
+def _verdict(point, names, exponents, growth, fits, margin) -> RegionVerdict:
     """The verdict at one exponent pair: bounded where the law's growth is <= 0,
-    classified unbounded where the steepest probe outgrows the margin."""
+    classified unbounded where the steepest probe outgrows the margin; its
+    check passes where the two agree or the pair is a boundary case."""
     measured = max(fit.slope for fit in fits.values())
-    return RegionVerdict(
-        point=point,
-        exponents=tuple(str(e) for e in exponents),
-        predicted="bounded" if growth <= _REGION_TOL else "unbounded",
-        predicted_growth=float(growth),
-        measured_slope=float(measured),
-        classified="unbounded" if measured > margin else "bounded",
-        margin=margin,
-        boundary_excluded=0.0 < growth < 2.0 * margin,
-        fits=fits,
-    )
+    named = tuple((name, str(e)) for name, e in zip(names, exponents))
+    predicted = "bounded" if growth <= _REGION_TOL else "unbounded"
+    classified = "unbounded" if measured > margin else "bounded"
+    excluded = 0.0 < growth < 2.0 * margin
+    name = "region[" + ",".join(f"{key}={value}" for key, value in named) + "]"
+    status = "pass" if excluded or predicted == classified else "fail"
+    check = CheckRecord(name, status, float(measured), float(growth), margin)
+    return RegionVerdict(point, named, predicted, classified, excluded, check, fits)
 
 
 @dataclass(frozen=True)
@@ -304,7 +326,7 @@ def scan_stft(points, settings: StftScanSettings | None = None) -> list[RegionVe
         if runs_b[pi]:
             fits["chirp_lq_ratio"] = fit_scaling(zip(lams_b, vals_b[pi]))
             growth = max(growth, predicted_exponent("chirp-ft", q=q))
-        verdicts.append(_verdict((q.reciprocal, p.reciprocal), (p, q), growth, fits, settings.margin))
+        verdicts.append(_verdict((q.reciprocal, p.reciprocal), ("p", "q"), (p, q), growth, fits, settings.margin))
     return verdicts
 
 
@@ -383,7 +405,7 @@ def scan_locop(points, settings: LocopScanSettings | None = None) -> list[Region
             values.append(lp_norm(d.chi_af, r_eff) / (symbol_norm * input_norm))
         fits = {"sharpness_ratio": fit_scaling(zip(lams, values))}
         growth = predicted_exponent("locop-sharpness-ratio", q=q, r=r)
-        verdicts.append(_verdict((r.reciprocal, q.reciprocal), (q, r), growth, fits, settings.margin))
+        verdicts.append(_verdict((r.reciprocal, q.reciprocal), ("q", "r"), (q, r), growth, fits, settings.margin))
     return verdicts
 
 
@@ -491,27 +513,7 @@ def schur_consistency_suite(
 
 
 # ---------------------------------------------------------------------------
-# check records and the verification battery: each named check has one
-# builder, whose record the battery, the Schur suite and the command line report
-
-
-@dataclass(frozen=True)
-class CheckRecord:
-    name: str
-    status: str
-    measured: float
-    expected: float
-    tolerance: float
-
-
-def _record(name, measured, expected, tolerance, mode="abs") -> CheckRecord:
-    if mode == "abs":
-        ok = abs(measured - expected) <= tolerance
-    elif mode == "le":
-        ok = measured <= expected + tolerance
-    else:
-        raise ValueError(mode)
-    return CheckRecord(name, "pass" if ok else "fail", float(measured), float(expected), tolerance)
+# the verification battery
 
 
 def stft_orthogonality_check(v: SampledSymbol, f: SampledSignal, g: SampledSignal) -> CheckRecord:

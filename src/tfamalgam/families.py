@@ -23,19 +23,6 @@ from .grid import (
 )
 from .transforms import _each_rows, _nonzero_row_runs, inverse_fourier
 
-__all__ = [
-    "WindowSpec",
-    "gaussian_family",
-    "chirped_gaussian",
-    "chirp_family",
-    "bump",
-    "indicator",
-    "sharpness_symbol",
-    "SYMBOL_EVALUATORS",
-    "max_alias_free_lambda",
-    "predicted_exponent",
-]
-
 
 @dataclass(frozen=True)
 class WindowSpec:

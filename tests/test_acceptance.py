@@ -244,10 +244,10 @@ def test_criterion_11_sharpness_exponents():
     details, ok = [], True
     for (q, r), v in zip(points, verdicts):
         pred = predicted_exponent("locop-sharpness-ratio", q=q, r=r)
-        ok &= abs(v.measured_slope - pred) <= 0.07
+        ok &= abs(v.check.measured - pred) <= 0.07
         inside = 1 / q >= abs(1 / r - 0.5) - 1e-12
-        ok &= (v.measured_slope <= v.margin) == inside
-        details.append(f"(q={q},r={r}): {v.measured_slope:+.3f}~{pred:+.3f}")
+        ok &= (v.check.measured <= v.check.tolerance) == inside
+        details.append(f"(q={q},r={r}): {v.check.measured:+.3f}~{pred:+.3f}")
     _report(11, ok, "operator sharpness ratios " + ", ".join(details))
 
 

@@ -376,6 +376,25 @@ def test_repeated_lattice_value_in_a_config_file_exits_2(tmp_path, capsys):
         build_config(["scan-stft", "--config", str(cfg)])
 
 
+@pytest.mark.parametrize("command", ["scan-locop", "scan-locop-lq", "scan-stft"])
+@pytest.mark.parametrize("lattice", ["", " , "])
+def test_empty_lattice_exits_2(tmp_path, capsys, command, lattice):
+    # an empty lattice would report 0/0 assertions passed: a check that cannot fail
+    out = tmp_path / "x"
+    assert _run([command, "--lattice", lattice, "--out", str(out)]) == 2
+    assert "lattice must hold at least one value" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_empty_lattice_in_a_config_file_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[scan]\nlattice =\n")
+    assert _run(["scan-locop-lq", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+    assert "lattice must hold at least one value" in capsys.readouterr().err
+    with pytest.raises(ConfigError):
+        build_config(["scan-stft", "--config", str(cfg)])
+
+
 def _wrap_everywhere(monkeypatch, module, attr, calls):
     """Replace ``module.attr`` by a call-recording wrapper in every library module that holds it."""
     fn = getattr(module, attr)

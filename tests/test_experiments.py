@@ -5,11 +5,14 @@ import sys
 import numpy as np
 import pytest
 
-from tfamalgam import experiments, fourier, lp_norm, make_grid, make_signal, make_symbol, norms, stft
+from tfamalgam import as_exponent, experiments, fourier, lp_norm, make_grid, make_signal, make_symbol, norms, stft
 from tfamalgam.experiments import (
+    CheckRecord,
     LiebReport,
     LocopScanSettings,
+    ScalingFitResult,
     StftScanSettings,
+    _verdict,
     bernstein_ratio_fit,
     default_lattice,
     exponent_from_inverse,
@@ -128,7 +131,7 @@ def test_stft_scan_bounded_point(small_stft_scan):
     v = small_stft_scan[(2, 2)]
     assert v.predicted == "bounded"
     assert v.classified == "bounded"
-    assert abs(v.measured_slope) < 0.05
+    assert abs(v.check.measured) < 0.05
 
 
 def test_stft_scan_unbounded_local(small_stft_scan):
@@ -156,9 +159,9 @@ def test_stft_scan_edge_bounded(small_stft_scan):
 def test_scan_verdict_fields(small_stft_scan):
     v = small_stft_scan[(2, 2)]
     assert v.point == (0.5, 0.5)
-    assert v.exponents == ("2", "2")
-    assert v.margin == 0.05
-    assert (v.measured_slope > v.margin) == (v.classified == "unbounded")
+    assert v.exponents == (("p", "2"), ("q", "2"))
+    assert v.check.tolerance == 0.05
+    assert (v.check.measured > v.check.tolerance) == (v.classified == "unbounded")
 
 
 @pytest.fixture(scope="module")
@@ -171,12 +174,12 @@ def test_locop_scan_points(small_locop_settings):
     verdicts = dict(zip(points, scan_locop(points, small_locop_settings)))
     v88 = verdicts[(8, 8)]
     assert v88.predicted == "unbounded" and v88.classified == "unbounded"
-    assert v88.measured_slope == pytest.approx(0.25, abs=0.07)
+    assert v88.check.measured == pytest.approx(0.25, abs=0.07)
     v22 = verdicts[(2, 2)]
     assert v22.predicted == "bounded" and v22.classified == "bounded"
     # r < 2 probes through the conjugate exponent and matches its mirror point
     vdual = verdicts[(8, "8/7")]
-    assert vdual.measured_slope == pytest.approx(v88.measured_slope, rel=1e-12)
+    assert vdual.check.measured == pytest.approx(v88.check.measured, rel=1e-12)
 
 
 def test_locop_lq_scan_point():
@@ -218,7 +221,7 @@ def test_predicted_growth_is_the_law_of_the_probes_that_ran():
         if "chirp_lq_ratio" in v.fits:
             raised_by_chirp += predicted_exponent("chirp-ft", q=q) > law
             law = max(law, predicted_exponent("chirp-ft", q=q))
-        assert v.predicted_growth == law
+        assert v.check.expected == law
         _assert_paper_region(v, q.reciprocal <= 0.5 and p.reciprocal <= 1.0 - q.reciprocal)
     assert raised_by_chirp > 0
     locop_settings = (
@@ -227,8 +230,36 @@ def test_predicted_growth_is_the_law_of_the_probes_that_ran():
     )
     for scan, settings in locop_settings:
         for (q, r), v in zip(lattice, scan(lattice, settings)):
-            assert v.predicted_growth == predicted_exponent("locop-sharpness-ratio", q=q, r=r)
+            assert v.check.expected == predicted_exponent("locop-sharpness-ratio", q=q, r=r)
             _assert_paper_region(v, q.reciprocal >= abs(r.reciprocal - 0.5))
+
+
+def _hand_verdict(slope, growth, margin=0.05):
+    # one fit of the given slope at (p, q) = (2, inf); the rule reads nothing else of it
+    fit = ScalingFitResult((1.0, 2.0, 4.0, 8.0), (1.0, 1.0, 1.0, 1.0), slope, 0.0, 0.0)
+    exponents = (as_exponent(2), as_exponent("inf"))
+    return _verdict((0.0, 0.5), ("p", "q"), exponents, growth, {"probe": fit}, margin)
+
+
+@pytest.mark.parametrize("growth, status", [(0.06, "pass"), (0.1, "fail")])
+def test_region_check_passes_a_boundary_pair_whose_slope_disagrees(growth, status):
+    # predicted unbounded, classified bounded: only a growth below 2 * margin excuses it
+    v = _hand_verdict(0.0, growth)
+    assert (v.predicted, v.classified) == ("unbounded", "bounded")
+    assert v.boundary_excluded == (status == "pass")
+    assert v.check == CheckRecord("region[p=2,q=inf]", status, 0.0, growth, 0.05)
+
+
+def test_region_slope_exactly_at_the_margin_is_classified_bounded():
+    v = _hand_verdict(0.05, 0.0)
+    assert v.classified == "bounded" and v.check.status == "pass"
+    assert _hand_verdict(np.nextafter(0.05, 1.0), 0.0).classified == "unbounded"
+
+
+def test_region_growth_exactly_at_the_tolerance_is_predicted_bounded():
+    tol = experiments._REGION_TOL
+    assert _hand_verdict(0.0, tol).predicted == "bounded"
+    assert _hand_verdict(0.0, np.nextafter(tol, 1.0)).predicted == "unbounded"
 
 
 def test_default_lattice_shape():

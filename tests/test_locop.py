@@ -10,6 +10,7 @@ from tfamalgam import (
     build_kernel_direct,
     inner_product,
     kernel_action,
+    locop,
     lp_norm,
     make_grid,
     make_signal,
@@ -135,6 +136,15 @@ def test_shape_mismatch(grid128, unit_window, gauss_symbol):
         apply_locop(gauss_symbol, unit_window, unit_window, other)
 
 
+@pytest.mark.parametrize("off_grid", ["f", "g"])
+def test_weak_pairing_shape_mismatch(grid128, unit_window, gauss_symbol, off_grid):
+    other = standard_window(make_grid(4, 16))
+    f = other if off_grid == "f" else _probe(grid128)
+    g = other if off_grid == "g" else _probe(grid128, 1)
+    with pytest.raises(ValueError, match="same grid"):
+        weak_pairing(gauss_symbol, unit_window, unit_window, f, g)
+
+
 def test_strided_symbol_consistency(grid128, unit_window):
     """A symbol on a coarsened time lattice drives the same three routes."""
     from tfamalgam.transforms import StftPlan, stft
@@ -258,11 +268,12 @@ def test_opnorm_zero(grid128):
     assert opnorm_l2(K) == 0.0
 
 
-def test_opnorm_nonconvergence_reports(grid128):
+def test_opnorm_nonconvergence_reports(grid128, monkeypatch):
+    monkeypatch.setattr(locop, "_POWER_ITER_CAP", 3)
     rng = np.random.default_rng(20)
     K = KernelMatrix(grid128, rng.standard_normal((grid128.N, grid128.N)), "noise")
     with pytest.raises(RuntimeError, match="iterations"):
-        opnorm_l2(K, tol=0.0, max_iter=3)
+        opnorm_l2(K)
 
 
 def test_lr_bounds(grid128, unit_window, gauss_symbol):
