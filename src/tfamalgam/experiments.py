@@ -349,40 +349,6 @@ class LocopScanSettings:
             raise ValueError(f"unknown window {self.window!r}; known: {sorted(WINDOWS)}")
 
 
-@dataclass(frozen=True)
-class _LocopSweepData:
-    lam: float
-    chi_af: SampledSignal
-    x_factor: SampledSignal
-    w_factor: SampledSignal
-    probe_in: SampledSignal
-
-
-def _locop_sweep(settings: LocopScanSettings) -> list[_LocopSweepData]:
-    grid = settings.grid
-    profile = bump(0.0, 1.0)  # also the cutoff chi of the operator output
-    lams = _guarded(settings.lambdas, grid)
-    window = WINDOWS[settings.window](grid)
-    h_sig = sample(profile, grid)
-    data = []
-    for lam in lams:
-        h_lam = sample(chirp_family(profile, lam), grid)
-        f = make_signal(grid, np.conj(h_lam.samples))
-        a = sharpness_symbol(profile, lam, grid)
-        out = apply_locop(a, window, window, f)
-        del a
-        data.append(
-            _LocopSweepData(
-                lam=lam,
-                chi_af=make_signal(grid, h_sig.samples * out.samples),
-                x_factor=h_sig,
-                w_factor=inverse_fourier(h_lam),
-                probe_in=f,
-            )
-        )
-    return data
-
-
 def scan_locop(points, settings: LocopScanSettings | None = None) -> list[RegionVerdict]:
     """Sharpness scan, by default with compactly supported bump windows.
 
@@ -390,20 +356,27 @@ def scan_locop(points, settings: LocopScanSettings | None = None) -> list[Region
     ``scan_locop_lq``, which differs only in its default settings.
     """
     settings = settings or LocopScanSettings()
+    grid = settings.grid
     pts = [(as_exponent(q), as_exponent(r)) for q, r in points]
-    sweep = _locop_sweep(settings)
-    lams = [d.lam for d in sweep]
+    # operators and their adjoints have identical output magnitudes here
+    # (real windows), so exponents below 2 are probed at the conjugate
+    r_effs = [r if r.reciprocal <= 0.5 + _REGION_TOL else r.conjugate for _, r in pts]
+    lams = _guarded(settings.lambdas, grid)
+    profile = bump(0.0, 1.0)  # also the cutoff chi of the operator output
+    window = WINDOWS[settings.window](grid)
+    h = sample(profile, grid)
+    values = np.empty((len(pts), len(lams)))
+    for li, lam in enumerate(lams):
+        h_lam = sample(chirp_family(profile, lam), grid)
+        f = make_signal(grid, np.conj(h_lam.samples))
+        out = apply_locop(sharpness_symbol(profile, lam, grid), window, window, f)
+        chi_af = make_signal(grid, h.samples * out.samples)
+        w = inverse_fourier(h_lam)
+        for pi, ((q, _), r_eff) in enumerate(zip(pts, r_effs)):
+            values[pi, li] = lp_norm(chi_af, r_eff) / (lp_norm(h, q) * lp_norm(w, q) * lp_norm(f, r_eff))
     verdicts = []
-    for q, r in pts:
-        # operators and their adjoints have identical output magnitudes here
-        # (real windows), so exponents below 2 are probed at the conjugate
-        r_eff = r if r.reciprocal <= 0.5 + _REGION_TOL else r.conjugate
-        values = []
-        for d in sweep:
-            symbol_norm = amalgam_norm(d.x_factor, q, q) * amalgam_norm(d.w_factor, q, q)
-            input_norm = amalgam_norm(d.probe_in, r_eff, r_eff)
-            values.append(lp_norm(d.chi_af, r_eff) / (symbol_norm * input_norm))
-        fits = {"sharpness_ratio": fit_scaling(zip(lams, values))}
+    for pi, (q, r) in enumerate(pts):
+        fits = {"sharpness_ratio": fit_scaling(zip(lams, values[pi]))}
         growth = predicted_exponent("locop-sharpness-ratio", q=q, r=r)
         verdicts.append(_verdict((r.reciprocal, q.reciprocal), ("q", "r"), (q, r), growth, fits, settings.margin))
     return verdicts

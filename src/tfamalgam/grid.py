@@ -165,7 +165,9 @@ def _lattice_index(value: float, density: int, error: str) -> int:
 
 
 def make_grid(L: int, m: int) -> Grid1D:
-    """Build the periodic grid with box side L (even) and m samples per unit."""
+    """Build the periodic grid with box side L (even) and m samples per unit; both integral."""
+    if not (float(L).is_integer() and float(m).is_integer()):
+        raise ValueError(f"grid sizes must be integral, got L={L!r}, m={m!r}")
     return Grid1D(int(L), int(m))
 
 

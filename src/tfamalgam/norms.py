@@ -327,7 +327,7 @@ def modulation_norm_triebel(f: SampledSignal, p, q) -> float:
     p, q = as_exponent(p), as_exponent(q)
     fhat = fourier(f)
     n, d = f.grid.N, fhat.grid.m  # d frequency samples per unit
-    kmax = f.grid.m // 2 + 1
+    kmax = f.grid.m // 2
     # row k + kmax is T_k psi on the frequency lattice, for |k| <= kmax: a view
     # of psi on a lattice 2 * kmax units longer, read from (kmax - k) units in
     psi = partition_window((np.arange(n + 2 * kmax * d) - n // 2 - kmax * d) / d)

@@ -43,6 +43,17 @@ def test_fit_exact_power_law():
     assert fit.max_residual < 1e-12
 
 
+def test_fit_max_residual_is_the_largest_not_the_mean():
+    # one point e times above the line l^0.5, at the middle of the log sweep:
+    # the slope stays 0.5, the intercept rises by 1/5, so the residuals are
+    # 0.8 there and 0.2 at the four others (mean 0.32)
+    lams = [2.0, 4.0, 8.0, 16.0, 32.0]
+    vals = [l**0.5 * (math.e if l == 8.0 else 1.0) for l in lams]
+    fit = fit_scaling(zip(lams, vals))
+    assert fit.slope == pytest.approx(0.5, abs=1e-12)
+    assert fit.max_residual == pytest.approx(0.8, abs=1e-12)
+
+
 def test_fit_constant_absorbed():
     lams = [2.0, 4.0, 8.0, 16.0]
     fit = fit_scaling([(l, 7.3 * l**-0.25) for l in lams])

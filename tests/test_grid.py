@@ -44,6 +44,19 @@ def test_make_grid_rejects(L, m):
         make_grid(L, m)
 
 
+@pytest.mark.parametrize("L,m", [(16.7, 16.9), (16, 16.5), (16.5, 16), (math.nan, 16), (16, math.inf)])
+def test_make_grid_rejects_non_integral_sizes(L, m):
+    # int() would truncate 16.7 and 16.9 to a 16 x 16 grid
+    with pytest.raises(ValueError, match="integral"):
+        make_grid(L, m)
+
+
+@pytest.mark.parametrize("L,m", [(16, 16), (np.int64(16), np.int32(16)), (16.0, 16.0)])
+def test_make_grid_accepts_integral_sizes(L, m):
+    g = make_grid(L, m)
+    assert (type(g.L), type(g.m), g.L, g.m) == (int, int, 16, 16)
+
+
 def test_unit_cube_partition():
     g = make_grid(6, 5)
     blocks = g.points.reshape(g.L, g.m)
@@ -119,6 +132,15 @@ def test_sample_indicator(grid16):
     f = sample(indicator(0.0, 1.0), grid16)
     assert int(np.count_nonzero(f.samples)) == grid16.m
     assert np.all(f.samples[np.nonzero(f.samples)] == 1.0)
+
+
+@pytest.mark.parametrize("tail", [-1, 0], ids=["right-cube", "left-cube"])
+def test_tail_mass_counts_either_outer_cube(grid16, tail):
+    # mass 3 at the origin and mass 1 at one end of the box: a quarter is tail
+    samples = np.zeros(grid16.N)
+    samples[grid16.N // 2] = 3.0
+    samples[tail] = 1.0
+    assert make_signal(grid16, samples).tail_mass == 0.25
 
 
 def test_sample_tail_warning():

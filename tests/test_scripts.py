@@ -1,7 +1,11 @@
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = ROOT / "scripts"
 
 
 def _load(name):
@@ -25,6 +29,21 @@ def test_fit_scaling_laws_exits_1_when_a_fit_is_off(monkeypatch, capsys):
     flags = [line.split("]")[0].strip() for line in lines if "[" in line]
     assert flags.count("[OFF") == 1
     assert flags.count("[ok") == len(flags) - 1
+
+
+def test_fit_scaling_laws_runs_as_documented():
+    # from the repository root with PYTHONPATH=src, as the README runs it
+    done = subprocess.run(
+        [sys.executable, "scripts/fit_scaling_laws.py"],
+        cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": "src"},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "[ok" in done.stdout
+    assert "[OFF" not in done.stdout
 
 
 def test_bench_layer_timer_runs_at_a_tiny_size():
