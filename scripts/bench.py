@@ -148,7 +148,14 @@ def layer_timings(sizes=LAYER_SIZES, kernel_sizes=KERNEL_SIZES, repeats: int = R
 
 
 def region_locop_timings(n: int = LOCOP_SIZE, repeats: int = REPEATS) -> dict:
-    """Seconds of ``sharpness_symbol`` and ``apply_locop`` calls as the region-locop scans make them."""
+    """Seconds of ``sharpness_symbol`` and ``apply_locop`` calls as the region-locop scans make them.
+
+    A sharpness symbol keeps its two factors and forms its samples only when
+    they are read, and the scans never read them.  So ``sharpness_symbol L=``
+    times building the factors (sampling h and the chirp, one inverse
+    transform), and ``apply_locop L=`` includes the row products
+    h(x) freq(w) that weight the STFT.
+    """
     from tfamalgam import (
         apply_locop,
         bump,

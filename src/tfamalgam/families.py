@@ -9,6 +9,7 @@ symbol h(x) (F^{-1} h_lam)(w).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -17,11 +18,10 @@ from .grid import (
     Grid1D,
     SampledSymbol,
     as_exponent,
-    make_symbol,
     max_alias_free_lambda,
     sample,
 )
-from .transforms import _each_rows, _nonzero_row_runs, inverse_fourier
+from .transforms import _chunks, _each_rows, _each_slab, _nonzero_row_runs, _task_rows, inverse_fourier
 
 
 @dataclass(frozen=True)
@@ -106,12 +106,76 @@ SYMBOL_EVALUATORS = {
 }
 
 
+#: samples of h(x) freq(w) a worker forms at once when it weights an STFT by
+#: them: blocks of rows, not single rows, so each pair of ufunc calls has work
+#: enough that the threads do not queue for the interpreter lock between them
+_PRODUCT_ELEMENTS = 1 << 14
+
+
+class _SeparableSymbol(SampledSymbol):
+    """The phase-space symbol h(x) freq(w), kept as its two factors.
+
+    ``sharpness_symbol`` builds it.  ``samples``, the product on the whole
+    lattice, is formed on its first read.  Calling the class, as
+    ``dataclasses.replace`` does, gives a plain ``SampledSymbol`` of the
+    fields it is passed, so a replaced ``samples`` is all the new symbol
+    holds; a copy or a pickle is a plain ``SampledSymbol`` of the samples.
+    """
+
+    h: np.ndarray  # the time factor, on x_grid
+    freq: np.ndarray  # the frequency factor, on w_grid
+
+    def __new__(cls, *args, **kwargs):
+        return SampledSymbol(*args, **kwargs)
+
+    def __reduce__(self):
+        return SampledSymbol, (self.x_grid, self.w_grid, self.samples)
+
+    @cached_property
+    def rows(self) -> tuple[tuple[int, int], ...]:
+        """The (start, stop) runs of rows where h is nonzero; every other row of ``samples`` is zero."""
+        return _nonzero_row_runs(self.h[:, None])
+
+    @cached_property
+    def samples(self) -> np.ndarray:
+        h, freq = self.h, self.freq
+        # the rows outside supp h stay zero; the others are the products np.outer makes
+        out = np.zeros((h.size, freq.size), dtype=np.complex128)
+
+        def fill(rows: slice) -> None:
+            np.multiply(h[rows, None], freq, out=out[rows])
+
+        _each_rows(fill, self.rows, freq.size)
+        out.flags.writeable = False
+        return out
+
+    def weight(self, v: np.ndarray) -> None:
+        """``v = samples * v`` in place, on the rows of ``rows``, without forming ``samples``.
+
+        Each worker forms a block of rows of h(x) freq(w) at a time in its
+        own buffer, as the first read of ``samples`` forms them, and
+        multiplies in the same operand order, so the result is the same.
+        """
+        h, freq = self.h, self.freq
+        step = max(1, _PRODUCT_ELEMENTS // freq.size)
+
+        def task(_, rows: slice, buf: np.ndarray) -> None:
+            for lo in range(rows.start, rows.stop, step):
+                block = slice(lo, min(lo + step, rows.stop))
+                product = buf[: block.stop - lo]
+                np.multiply(h[block, None], freq, out=product)
+                np.multiply(product, v[block], out=v[block])
+
+        _each_slab(task, list(_chunks(self.rows, _task_rows(freq.size))), step, freq.size)
+
+
 def sharpness_symbol(profile: WindowSpec, lam: float, grid: Grid1D) -> SampledSymbol:
     """Separable phase-space symbol profile(x) * (F^{-1} chirp)(w).
 
     This is the extremal symbol family of the localization-operator sharpness
     argument: its W(L^p, L^q) norm decays like lam^{1/q - 1/2} while the
-    operator it generates retains unit-size output near the origin.
+    operator it generates retains unit-size output near the origin.  The
+    symbol keeps its two factors, and its samples are formed when first read.
     """
     radius = profile.support_radius
     if radius is None:
@@ -121,16 +185,14 @@ def sharpness_symbol(profile: WindowSpec, lam: float, grid: Grid1D) -> SampledSy
             f"lam={lam} exceeds the alias-free bound "
             f"{max_alias_free_lambda(grid, radius):g} on grid (L={grid.L}, m={grid.m})"
         )
-    h = sample(profile, grid).samples
-    freq = inverse_fourier(sample(chirp_family(profile, lam), grid)).samples
-    # the rows outside supp h stay zero; the others are the products np.outer makes
-    out = np.zeros((h.size, freq.size), dtype=np.complex128)
-
-    def fill(rows: slice) -> None:
-        np.multiply(h[rows, None], freq, out=out[rows])
-
-    _each_rows(fill, _nonzero_row_runs(h[:, None]), freq.size)
-    return make_symbol(grid, grid.dual, out)
+    a = object.__new__(_SeparableSymbol)  # calling the class would make a plain SampledSymbol
+    a.__dict__.update(
+        x_grid=grid,
+        w_grid=grid.dual,
+        h=sample(profile, grid).samples,
+        freq=inverse_fourier(sample(chirp_family(profile, lam), grid)).samples,
+    )
+    return a
 
 
 #: claim -> the dimension-1 exponent of its power law lam^e, as a function of

@@ -27,6 +27,7 @@ from .grid import (
     make_signal,
     make_symbol,
 )
+from .families import _SeparableSymbol
 from .norms import lp_norm
 from .transforms import (
     StftPlan,
@@ -52,8 +53,13 @@ def _check_operator_shapes(a: SampledSymbol, phi1: SampledSignal, phi2: SampledS
 
 
 def _symbol_rows_plan(a: SampledSymbol, phi1: SampledSignal, phi2: SampledSignal) -> StftPlan:
-    """The operator's STFT layout, restricted to the rows where the symbol is nonzero."""
-    return replace(_check_operator_shapes(a, phi1, phi2), rows=_nonzero_row_runs(a.samples))
+    """The operator's STFT layout, restricted to the rows where the symbol can be nonzero.
+
+    A separable symbol gives the rows of its time factor, so its samples are
+    not read.
+    """
+    rows = a.rows if isinstance(a, _SeparableSymbol) else _nonzero_row_runs(a.samples)
+    return replace(_check_operator_shapes(a, phi1, phi2), rows=rows)
 
 
 def apply_locop(
@@ -66,7 +72,9 @@ def apply_locop(
 
     Rows where ``a`` vanishes add nothing, so they are neither transformed nor
     synthesised.  V_{phi1} f is weighted where it lies, on row bands of the
-    pool, so the operator holds one symbol-sized array.
+    pool, so the operator holds one symbol-sized array.  A separable symbol
+    weights it a block of rows of its product at a time, so its samples are
+    never formed.
     """
     plan = _symbol_rows_plan(a, phi1, phi2)
     v = stft(f, phi1, plan).samples
@@ -76,7 +84,10 @@ def apply_locop(
         # a * v, in this operand order: v *= a rounds differently in the complex product
         np.multiply(a.samples[rows], v[rows], out=v[rows])
 
-    _each_rows(weight, plan.rows, plan.grid.N)
+    if isinstance(a, _SeparableSymbol):
+        a.weight(v)
+    else:
+        _each_rows(weight, plan.rows, plan.grid.N)
     return synthesis(make_symbol(a.x_grid, a.w_grid, v), phi2)
 
 

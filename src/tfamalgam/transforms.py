@@ -174,6 +174,24 @@ def _each_rows(fn, runs, width: int) -> None:
     _each(fn, _chunks(runs, _task_rows(width)))
 
 
+def _each_slab(fn, slabs, height: int, width: int) -> None:
+    """Call ``fn(i, slabs[i], buf)`` for every slab, the slabs dealt out to the workers in turn.
+
+    Worker ``w`` takes slabs ``w``, ``w + workers``, ... through ``_each``;
+    ``buf`` is its own ``(height, width)`` complex buffer.  The buffers are
+    made here, not in the tasks: memory a worker thread frees stays in its
+    malloc arena.
+    """
+    workers = min(len(slabs), _workers())
+    bufs = np.empty((workers, height, width), dtype=np.complex128)
+
+    def task(worker: int) -> None:
+        for i in range(worker, len(slabs), workers):
+            fn(i, slabs[i], bufs[worker])
+
+    _each(task, range(workers))
+
+
 def _symbol_stride(F: SampledSymbol, grid: Grid1D) -> int:
     """Check that ``F`` lives on a time sublattice of ``grid``'s phase space; return the time stride."""
     if F.w_grid != grid.dual:
@@ -243,23 +261,18 @@ def synthesis(F: SampledSymbol, g: SampledSignal) -> SampledSignal:
     stride = _symbol_stride(F, grid)
     n = grid.N
     slabs = list(_chunks(_nonzero_row_runs(F.samples), _task_rows(n)))
-    workers = min(len(slabs), _workers())
     windows = _translates(g.samples)[n + n // 2 :: -stride][: F.samples.shape[0]]
     s = _alternating(n)
     sums = np.empty((len(slabs), n), dtype=np.complex128)
-    height = max((rows.stop - rows.start for rows in slabs), default=0)
-    # made here, not in the tasks: memory a worker thread frees stays in its malloc arena
-    bufs = np.empty((workers, height, n), dtype=np.complex128)
 
-    def transform(worker: int) -> None:
-        for rows, total in zip(slabs[worker::workers], sums[worker::workers]):
-            slab = bufs[worker, : rows.stop - rows.start]
-            np.multiply(F.samples[rows], s, out=slab)
-            np.fft.ifft(slab, axis=-1, out=slab)
-            slab *= windows[rows]
-            slab.sum(axis=0, out=total)
+    def transform(i: int, rows: slice, buf: np.ndarray) -> None:
+        slab = buf[: rows.stop - rows.start]
+        np.multiply(F.samples[rows], s, out=slab)
+        np.fft.ifft(slab, axis=-1, out=slab)
+        slab *= windows[rows]
+        slab.sum(axis=0, out=sums[i])
 
-    _each(transform, range(workers))
+    _each_slab(transform, slabs, max((rows.stop - rows.start for rows in slabs), default=0), n)
     out = sums.sum(axis=0)
     # the post-sign and the scale are the same for every row: apply them to the sum
     out *= s * (_center_sign(n) * n / F.w_grid.m * F.x_grid.h)

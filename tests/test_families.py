@@ -1,7 +1,11 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
 from tfamalgam import (
+    SampledSymbol,
     amalgam_norm,
     as_exponent,
     gaussian_stft_symbol,
@@ -91,6 +95,15 @@ def test_sharpness_symbol_separable_structure():
     h = sample(prof, g)
     w_factor = inverse_fourier(sample(chirp_family(prof, 2.0), g))
     assert np.abs(a.samples - np.outer(h.samples, w_factor.samples)).max() < 1e-14
+
+
+@pytest.mark.parametrize("duplicate", [copy.copy, copy.deepcopy, lambda a: pickle.loads(pickle.dumps(a))])
+def test_a_copy_of_a_sharpness_symbol_is_a_plain_symbol_of_its_samples(duplicate):
+    a = sharpness_symbol(bump(0.0, 1.0), 2.0, make_grid(8, 32))
+    b = duplicate(a)
+    assert type(b) is SampledSymbol
+    assert (b.x_grid, b.w_grid) == (a.x_grid, a.w_grid)
+    assert np.array_equal(b.samples, a.samples)
 
 
 def test_sharpness_symbol_no_chirp():

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from tfamalgam import (
     KernelMatrix,
+    SampledSymbol,
     apply_locop,
     build_kernel,
     build_kernel_direct,
@@ -436,3 +438,34 @@ def test_apply_locop_weights_the_stft_where_it_lies(grid, bound):
     finally:
         tracemalloc.stop()
     assert peak <= bound * grid.N**2 * 16
+
+
+def test_apply_locop_never_forms_the_samples_of_a_sharpness_symbol():
+    # the operator holds its STFT and the synthesis slabs (half the rows here);
+    # the dense symbol would add a second symbol-sized array to those
+    grid = make_grid(4, 256)
+    window = sample(bump(0.0, 1.0), grid)
+    f = make_signal(grid, np.conj(sample(chirp_family(bump(0.0, 1.0), 4.0), grid).samples))
+    tracemalloc.start()
+    try:
+        apply_locop(sharpness_symbol(bump(0.0, 1.0), 4.0, grid), window, window, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * grid.N**2 * 16
+
+
+@pytest.mark.parametrize("amplitude", [1e-150, 1e150])
+def test_a_replaced_sharpness_symbol_reads_its_new_samples(amplitude):
+    # dataclasses.replace, as the benchmark scales its inputs, gives a plain
+    # dense symbol: its operator and norms must not read the unscaled factors
+    grid = make_grid(4, 64)
+    window = sample(bump(0.0, 1.0), grid)
+    f = make_signal(grid, np.conj(sample(chirp_family(bump(0.0, 1.0), 4.0), grid).samples))
+    a = sharpness_symbol(bump(0.0, 1.0), 4.0, grid)
+    b = dataclasses.replace(a, samples=a.samples * amplitude)
+    assert type(b) is SampledSymbol
+    unit = apply_locop(a, window, window, f).samples
+    scaled = apply_locop(b, window, window, f).samples
+    assert np.abs(scaled / amplitude - unit).max() <= 1e-9 * np.abs(unit).max()
+    assert lp_norm(b, 2) == pytest.approx(amplitude * lp_norm(a, 2), rel=1e-9, abs=0.0)

@@ -21,14 +21,19 @@ from tfamalgam.transforms import StftPlan, _each, _nonzero_row_runs, stft, synth
 
 EXPONENTS = [as_exponent(p) for p in ("1", "4/3", "2", "4", "inf")]
 GRID = make_grid(4, 32)  # N = 128: the STFT has 4 rows of cubes of 4096 samples
+# a profile with no zero sample on the grids below, so every row of its symbol is formed
+NOWHERE_ZERO = families.WindowSpec(gaussian_family(16.0).evaluator, support_radius=2.0)
 
 
 @pytest.fixture
 def small_bands(monkeypatch):
     """Tasks of 512 samples and cube-table blocks of 1024, so a 128 x 128 symbol spans
-    32 row tasks and its cube tables 4, one per row of cubes."""
+    32 row tasks and its cube tables 4, one per row of cubes; a separable symbol
+    weights an STFT of 128 columns in blocks of 3 rows, so a task of 4 rows
+    ends in a partial block."""
     monkeypatch.setattr(transforms, "_TASK_ELEMENTS", 1 << 9)
     monkeypatch.setattr(norms, "_BLOCK", 1 << 10)
+    monkeypatch.setattr(families, "_PRODUCT_ELEMENTS", 3 << 7)
 
     def use(workers):
         monkeypatch.setattr(transforms, "_workers", lambda: workers)
@@ -184,10 +189,9 @@ def test_sharpness_symbol_equals_the_outer_product(grid):
 
 def test_sharpness_symbol_of_a_profile_that_is_nowhere_zero():
     grid = make_grid(4, 16)
-    profile = families.WindowSpec(gaussian_family(16.0).evaluator, support_radius=2.0)
-    h = sample(profile, grid).samples
-    freq = transforms.inverse_fourier(sample(chirp_family(profile, 1.0), grid)).samples
-    assert np.array_equal(sharpness_symbol(profile, 1.0, grid).samples, np.outer(h, freq))
+    h = sample(NOWHERE_ZERO, grid).samples
+    freq = transforms.inverse_fourier(sample(chirp_family(NOWHERE_ZERO, 1.0), grid)).samples
+    assert np.array_equal(sharpness_symbol(NOWHERE_ZERO, 1.0, grid).samples, np.outer(h, freq))
 
 
 def _gapped_stft(stride):
@@ -285,6 +289,28 @@ def test_apply_locop_weights_the_stft_as_symbol_times_stft(small_bands):
     v = stft(f, window, StftPlan(GRID)).samples
     want = synthesis(make_symbol(a.x_grid, a.w_grid, a.samples * v), window).samples
     assert np.array_equal(apply_locop(a, window, window, f).samples, want)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize(
+    ("grid", "profile", "lam", "window_of"),
+    [
+        (make_grid(4, 32), bump(0.0, 1.0), 3.0, lambda g: sample(bump(0.0, 1.0), g)),
+        (make_grid(8, 16), bump(0.0, 1.0), 3.0, standard_window),
+        (make_grid(4, 16), NOWHERE_ZERO, 1.0, lambda g: sample(bump(0.0, 1.0), g)),
+    ],
+)
+def test_apply_locop_on_the_factors_equals_it_on_the_samples(small_bands, workers, grid, profile, lam, window_of):
+    # the operator weights the STFT one row of h(x) freq(w) at a time: the same
+    # products, in the same operand order, as the formed samples give
+    small_bands(workers)
+    window = window_of(grid)
+    f = make_signal(grid, np.conj(sample(chirp_family(profile, lam), grid).samples))
+    a = sharpness_symbol(profile, lam, grid)
+    factored = apply_locop(a, window, window, f).samples
+    dense = apply_locop(make_symbol(a.x_grid, a.w_grid, a.samples), window, window, f).samples
+    assert np.array_equal(factored, dense)
+    assert np.abs(factored).max() > 0.0
 
 
 @pytest.mark.parametrize("grid", [make_grid(4, 32), make_grid(8, 16)])
