@@ -18,7 +18,12 @@ and ``opnorm_l2`` at N = 512 and 1024 (a dense kernel is N^2 and
 ``opnorm_l2`` is O(N^3), so N = 4096 would need over a gigabyte).  At
 N = 2048, ``sharpness_symbol`` and ``apply_locop`` are also timed as the
 two region-locop scans call them (``L=4``: bump windows on the 4 x 512
-grid, ``L=8``: Gaussian windows on the 8 x 256 grid, lambda 16).  Each layer
+grid, ``L=8``: Gaussian windows on the 8 x 256 grid, lambda 16).  ``stft``
+is timed with the read of its samples, which it forms on that read; the
+inputs of ``synthesis`` and the norms are formed outside the timer.
+``stft tables`` times ``stft`` followed by the cube tables of the five
+lattice exponents, as ``scan_stft`` asks for them: the smooth probe at
+N = 2048 and the chirp probe at N = 4096, on the scan's grids.  Each layer
 is called 5 times, each on a fresh frozen input, so the cube-table memo of
 the norms cannot hide their cost; the record holds the best time and,
 next to it, the spread (slowest minus fastest), which bounds the noise
@@ -116,12 +121,14 @@ def layer_timings(sizes=LAYER_SIZES, kernel_sizes=KERNEL_SIZES, repeats: int = R
             return make_signal(grid, f.samples.copy())
 
         def symbol():
-            return stft(f, window)
+            v = stft(f, window)
+            v.samples  # formed here, outside the timer
+            return v
 
         layers = {
             "sample": (lambda spec: sample(spec, grid), lambda: chirped_gaussian(2.0, 3.0)),
             "dft_centered": (lambda x: dft_centered(x, grid.m), lambda: f.samples.copy()),
-            "stft": (lambda x: stft(x, window), signal),
+            "stft": (lambda x: stft(x, window).samples, signal),
             "synthesis": (lambda a: synthesis(a, window), symbol),
             "apply_locop": (
                 lambda a: apply_locop(a, bump_window, bump_window, bump_window),
@@ -181,6 +188,37 @@ def region_locop_timings(n: int = LOCOP_SIZE, repeats: int = REPEATS) -> dict:
         out[f"apply_locop L={cubes}"] = _timings(
             lambda a: apply_locop(a, window, window, f), lambda: sharpness_symbol(profile, lam, grid), repeats
         )
+    return out
+
+
+def stft_table_timings(repeats: int = REPEATS) -> dict:
+    """Seconds of ``stft`` then the cube tables of the five lattice exponents, as ``scan_stft`` makes them.
+
+    Keyed by ``N=<size>``: the smooth probe (a dilated Gaussian) at N = 2048
+    and the chirp probe at N = 4096, both at lambda 32 on the grids of
+    ``StftScanSettings``.  Each call takes a fresh signal, so its STFT has
+    no tables yet.
+    """
+    from tfamalgam import StftScanSettings, bump, chirp_family, gaussian_family, make_signal, sample, standard_window, stft
+    from tfamalgam.grid import as_exponent
+    from tfamalgam.norms import _fill_cube_tables
+
+    settings = StftScanSettings()
+    exponents = [as_exponent(p) for p in ("1", "4/3", "2", "4", "inf")]
+    out = {}
+    for grid, spec in (
+        (settings.smooth_grid, gaussian_family(32.0)),
+        (settings.chirp_grid, chirp_family(bump(0.0, 1.0), 32.0)),
+    ):
+        window = standard_window(grid)
+        probe = sample(spec, grid).samples
+        out[f"N={grid.N}"] = {
+            "stft tables": _timings(
+                lambda x: _fill_cube_tables(stft(x, window), exponents),
+                lambda: make_signal(grid, probe.copy()),
+                repeats,
+            )
+        }
     return out
 
 
@@ -266,6 +304,8 @@ def main(argv=None) -> int:
     )
     timings = layer_timings()
     timings[f"N={LOCOP_SIZE}"].update(region_locop_timings())
+    for size, layers in stft_table_timings().items():
+        timings[size].update(layers)
     record["layers_s"] = _summary(timings, min)
     record["layers_spread_s"] = _summary(timings, lambda secs: max(secs) - min(secs))
     record["layers_peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0

@@ -21,7 +21,7 @@ from .grid import (
     max_alias_free_lambda,
     sample,
 )
-from .transforms import _chunks, _each_rows, _each_slab, _nonzero_row_runs, _task_rows, inverse_fourier
+from .transforms import _LazySymbol, _chunks, _each_slab, _nonzero_row_runs, _task_rows, inverse_fourier
 
 
 @dataclass(frozen=True)
@@ -112,42 +112,23 @@ SYMBOL_EVALUATORS = {
 _PRODUCT_ELEMENTS = 1 << 14
 
 
-class _SeparableSymbol(SampledSymbol):
+class _SeparableSymbol(_LazySymbol):
     """The phase-space symbol h(x) freq(w), kept as its two factors.
 
-    ``sharpness_symbol`` builds it.  ``samples``, the product on the whole
-    lattice, is formed on its first read.  Calling the class, as
-    ``dataclasses.replace`` does, gives a plain ``SampledSymbol`` of the
-    fields it is passed, so a replaced ``samples`` is all the new symbol
-    holds; a copy or a pickle is a plain ``SampledSymbol`` of the samples.
+    ``sharpness_symbol`` builds it.  Its rows are formed on demand (see
+    ``transforms._LazySymbol``), each as the products ``np.outer`` makes.
     """
 
     h: np.ndarray  # the time factor, on x_grid
     freq: np.ndarray  # the frequency factor, on w_grid
-
-    def __new__(cls, *args, **kwargs):
-        return SampledSymbol(*args, **kwargs)
-
-    def __reduce__(self):
-        return SampledSymbol, (self.x_grid, self.w_grid, self.samples)
 
     @cached_property
     def rows(self) -> tuple[tuple[int, int], ...]:
         """The (start, stop) runs of rows where h is nonzero; every other row of ``samples`` is zero."""
         return _nonzero_row_runs(self.h[:, None])
 
-    @cached_property
-    def samples(self) -> np.ndarray:
-        h, freq = self.h, self.freq
-        # the rows outside supp h stay zero; the others are the products np.outer makes
-        out = np.zeros((h.size, freq.size), dtype=np.complex128)
-
-        def fill(rows: slice) -> None:
-            np.multiply(h[rows, None], freq, out=out[rows])
-
-        _each_rows(fill, self.rows, freq.size)
-        out.flags.writeable = False
-        return out
+    def _form_rows(self, rows: slice, out: np.ndarray) -> None:
+        np.multiply(self.h[rows, None], self.freq, out=out)
 
     def weight(self, v: np.ndarray) -> None:
         """``v = samples * v`` in place, on the rows of ``rows``, without forming ``samples``.
@@ -156,17 +137,17 @@ class _SeparableSymbol(SampledSymbol):
         own buffer, as the first read of ``samples`` forms them, and
         multiplies in the same operand order, so the result is the same.
         """
-        h, freq = self.h, self.freq
-        step = max(1, _PRODUCT_ELEMENTS // freq.size)
+        width = self.freq.size
+        step = max(1, _PRODUCT_ELEMENTS // width)
 
         def task(_, rows: slice, buf: np.ndarray) -> None:
             for lo in range(rows.start, rows.stop, step):
                 block = slice(lo, min(lo + step, rows.stop))
                 product = buf[: block.stop - lo]
-                np.multiply(h[block, None], freq, out=product)
+                self._form_rows(block, product)
                 np.multiply(product, v[block], out=v[block])
 
-        _each_slab(task, list(_chunks(self.rows, _task_rows(freq.size))), step, freq.size)
+        _each_slab(task, list(_chunks(self.rows, _task_rows(width))), step, width)
 
 
 def sharpness_symbol(profile: WindowSpec, lam: float, grid: Grid1D) -> SampledSymbol:
@@ -185,14 +166,12 @@ def sharpness_symbol(profile: WindowSpec, lam: float, grid: Grid1D) -> SampledSy
             f"lam={lam} exceeds the alias-free bound "
             f"{max_alias_free_lambda(grid, radius):g} on grid (L={grid.L}, m={grid.m})"
         )
-    a = object.__new__(_SeparableSymbol)  # calling the class would make a plain SampledSymbol
-    a.__dict__.update(
-        x_grid=grid,
-        w_grid=grid.dual,
+    return _SeparableSymbol._of(
+        grid,
+        grid.dual,
         h=sample(profile, grid).samples,
         freq=inverse_fourier(sample(chirp_family(profile, lam), grid)).samples,
     )
-    return a
 
 
 #: claim -> the dimension-1 exponent of its power law lam^e, as a function of

@@ -190,6 +190,10 @@ class SampledSignal:
                 f"samples have shape {self.samples.shape}, expected ({self.grid.N},)"
             )
 
+    @property
+    def cell(self) -> float:
+        return self.grid.h
+
 
 def _tail_mass(grid: Grid1D, samples: np.ndarray) -> float:
     a = np.abs(samples)

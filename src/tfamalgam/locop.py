@@ -62,6 +62,30 @@ def _symbol_rows_plan(a: SampledSymbol, phi1: SampledSignal, phi2: SampledSignal
     return replace(_check_operator_shapes(a, phi1, phi2), rows=rows)
 
 
+def _weight(a: SampledSymbol, v: np.ndarray, rows) -> None:
+    """``v = a.samples * v`` in place, on the row runs ``rows`` outside which ``a`` is zero.
+
+    The product keeps this operand order (``v *= a`` rounds differently in
+    the complex product) and runs on row bands of the pool; a separable
+    symbol forms its rows a block at a time, so its samples are never formed.
+    """
+    if isinstance(a, _SeparableSymbol):
+        a.weight(v)
+        return
+
+    def weight(band: slice) -> None:
+        np.multiply(a.samples[band], v[band], out=v[band])
+
+    _each_rows(weight, rows, v.shape[1])
+
+
+def _writable_stft(f: SampledSignal, window: SampledSignal, plan: StftPlan) -> np.ndarray:
+    """The samples of V_window f on ``plan``, writable: a fresh array nothing else holds."""
+    v = stft(f, window, plan).samples
+    v.flags.writeable = True
+    return v
+
+
 def apply_locop(
     a: SampledSymbol,
     phi1: SampledSignal,
@@ -71,23 +95,12 @@ def apply_locop(
     """Apply the localization operator with symbol ``a`` and windows (phi1, phi2).
 
     Rows where ``a`` vanishes add nothing, so they are neither transformed nor
-    synthesised.  V_{phi1} f is weighted where it lies, on row bands of the
-    pool, so the operator holds one symbol-sized array.  A separable symbol
-    weights it a block of rows of its product at a time, so its samples are
-    never formed.
+    synthesised.  V_{phi1} f is weighted where it lies (``_weight``), so the
+    operator holds one symbol-sized array.
     """
     plan = _symbol_rows_plan(a, phi1, phi2)
-    v = stft(f, phi1, plan).samples
-    v.flags.writeable = True  # nothing else holds this STFT
-
-    def weight(rows: slice) -> None:
-        # a * v, in this operand order: v *= a rounds differently in the complex product
-        np.multiply(a.samples[rows], v[rows], out=v[rows])
-
-    if isinstance(a, _SeparableSymbol):
-        a.weight(v)
-    else:
-        _each_rows(weight, plan.rows, plan.grid.N)
+    v = _writable_stft(f, phi1, plan)
+    _weight(a, v, plan.rows)
     return synthesis(make_symbol(a.x_grid, a.w_grid, v), phi2)
 
 
@@ -101,12 +114,16 @@ def weak_pairing(
     """Phase-space quadrature of a * V_{phi1} f * conj(V_{phi2} g).
 
     Equals <A f, g> exactly (same sum re-associated).  Both STFTs skip the
-    rows where ``a`` vanishes.
+    rows where ``a`` vanishes, and the products are taken in place, in the
+    operand order of ``a * v1 * conj(v2)``, so the pairing holds the two
+    STFTs and no other symbol-sized array.
     """
     plan = _symbol_rows_plan(a, phi1, phi2)
-    v1 = stft(f, phi1, plan).samples
-    v2 = stft(g, phi2, plan).samples
-    return complex(a.cell * np.sum(a.samples * v1 * np.conj(v2)))
+    v1 = _writable_stft(f, phi1, plan)
+    _weight(a, v1, plan.rows)
+    v2 = _writable_stft(g, phi2, plan)
+    v1 *= np.conjugate(v2, out=v2)
+    return complex(a.cell * np.sum(v1))
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from .grid import (
     make_signal,
 )
 from .families import bump
-from .transforms import _each_rows, fourier, idft_centered, inverse_fourier, stft
+from .transforms import _LazySymbol, _chunks, _each_slab, _task_rows, fourier, idft_centered, inverse_fourier, stft
 
 #: norm kind -> the norm of f at the kind's exponents; each entry looks its
 #: function up when called, so a wrapper installed on the module later is used
@@ -107,40 +107,55 @@ def _roots(tiles: np.ndarray, exponents) -> list[np.ndarray]:
     return tables
 
 
-def _tile_reduce(tiles: np.ndarray, exponents, scale=None) -> list[np.ndarray]:
+def _tile_reduce(tiles, exponents, scale=None) -> list[np.ndarray]:
     """Per cube of a 4-D cube view, the sum of |x|^p for each p (the max of |x| for p = inf).
 
-    ``tiles`` is (time cube, row in cube, frequency cube, column in cube);
-    ``scale``, one value per cube, divides |x| first.  A view of at most
-    ``_BLOCK`` elements is reduced in one go; a larger one in blocks of at
-    most ``_BLOCK`` elements that never straddle a row of cubes (whole rows of
-    cubes when they fit, else runs of rows within one), so the temporaries
-    stay in cache.  Slices of rows of cubes, as ``_each_rows`` cuts them for
-    rows of ``tile_rows * row`` samples, are the pool tasks, so a view no
-    larger than one task is reduced inline.  Each cube is summed the same way
-    whatever the slices, so the sums do not depend on the CPU count.
+    ``tiles`` is (time cube, row in cube, frequency cube, column in cube), or
+    a ``_LazySymbol`` whose samples are not yet formed: each block's rows
+    are then formed in the buffer of the worker that reduces it, so the
+    symbol is never held whole.  ``scale``, one value per cube, divides |x|
+    first.  A view of at most ``_BLOCK`` elements is reduced in one go; a
+    larger one in blocks of at most ``_BLOCK`` elements that never straddle
+    a row of cubes (whole rows of cubes when they fit, else runs of rows
+    within one), so the temporaries stay in cache.  Slices of rows of cubes,
+    as ``_chunks`` cuts them for rows of ``tile_rows * row`` samples, are the
+    pool tasks, so a view no larger than one task is reduced inline.  Each
+    cube is summed the same way whatever the slices and whether its rows are
+    formed or read, so the sums do not depend on the CPU count.
     """
-    if tiles.size <= _BLOCK:
+    lazy = isinstance(tiles, _LazySymbol)
+    if not lazy and tiles.size <= _BLOCK:
         return _block_reduce(tiles, exponents, scale)
-    n_rows, tile_rows, n_cols, tile_cols = tiles.shape
+    n_rows, tile_rows, n_cols, tile_cols = _cube_shape(tiles) if lazy else tiles.shape
     row = n_cols * tile_cols
     band = max(1, _BLOCK // (tile_rows * row))  # rows of cubes per block
     step = min(tile_rows, max(1, _BLOCK // row))  # rows per block within a row of cubes
     tables = [np.empty((n_rows, n_cols)) for _ in exponents]
 
-    def reduce_band(rows: slice) -> None:
+    def block(cubes: slice, r: int, buf: np.ndarray) -> np.ndarray:
+        if not lazy:
+            return tiles[cubes, r : r + step]
+        # a block is one run of sample rows: band > 1 only where step is tile_rows
+        count, height = cubes.stop - cubes.start, min(step, tile_rows - r)
+        formed = buf[: count * height]
+        start = cubes.start * tile_rows + r
+        tiles.form(slice(start, start + len(formed)), formed)
+        return formed.reshape(count, height, n_cols, tile_cols)
+
+    def reduce_band(_, rows: slice, buf: np.ndarray) -> None:
         for i in range(rows.start, rows.stop, band):
             cubes = slice(i, min(i + band, rows.stop))
             outs = [table[cubes] for table in tables]
             part_scale = None if scale is None else scale[cubes]
-            for out, part in zip(outs, _block_reduce(tiles[cubes, :step], exponents, part_scale)):
+            for out, part in zip(outs, _block_reduce(block(cubes, 0, buf), exponents, part_scale)):
                 out[...] = part
             for r in range(step, tile_rows, step):
-                parts = _block_reduce(tiles[cubes, r : r + step], exponents, part_scale)
+                parts = _block_reduce(block(cubes, r, buf), exponents, part_scale)
                 for p, out, part in zip(exponents, outs, parts):
                     (np.maximum if p.is_inf else np.add)(out, part, out=out)
 
-    _each_rows(reduce_band, ((0, n_rows),), tile_rows * row)
+    tasks = list(_chunks(((0, n_rows),), _task_rows(tile_rows * row)))
+    _each_slab(reduce_band, tasks, min(band, n_rows) * step if lazy else 0, row)
     return tables
 
 
@@ -189,18 +204,25 @@ def _row_amalgam(rows: np.ndarray, grid: Grid1D, p: ExtendedExponent, q: Extende
     return grid.h**p.reciprocal * _root(local.reshape(n, 1, 1, grid.L), q)[:, 0]
 
 
-def _cubes(f) -> tuple[np.ndarray, float]:
-    """Cube view and quadrature cell of a sampled object.
+def _cube_shape(a: SampledSymbol) -> tuple[int, int, int, int]:
+    return (a.x_grid.L, a.x_grid.m, a.w_grid.L, a.w_grid.m)
 
-    (L, 1, 1, m) with cell h for a signal; (Lx, mx, Lw, mw) with cell
-    h_x * h_w for a symbol.
+
+def _cubes(f):
+    """Cube view of a sampled object: (L, 1, 1, m) for a signal, (Lx, mx, Lw, mw) for a symbol.
+
+    A ``_LazySymbol`` of more than one ``_BLOCK`` whose samples are not yet
+    formed is returned itself, for ``_tile_reduce`` to form its rows a block
+    at a time.  One of at most one block is formed whole: that is its one
+    block, and a later read of its samples then finds them formed.
     """
     if isinstance(f, SampledSignal):
         g = f.grid
-        return f.samples.reshape(g.L, 1, 1, g.m), g.h
+        return f.samples.reshape(g.L, 1, 1, g.m)
+    if isinstance(f, _LazySymbol) and not f.formed and f.x_grid.N * f.w_grid.N > _BLOCK:
+        return f
     if isinstance(f, SampledSymbol):
-        gx, gw = f.x_grid, f.w_grid
-        return f.samples.reshape(gx.L, gx.m, gw.L, gw.m), f.cell
+        return f.samples.reshape(_cube_shape(f))
     raise TypeError(f"expected SampledSignal or SampledSymbol, got {type(f)!r}")
 
 
@@ -218,14 +240,19 @@ def _fill_cube_tables(f, exponents) -> list[np.ndarray]:
 
     The exponents not yet in the memo share one blocked pass (``_roots``); only
     one whose sums leave the float range takes two more passes to rescale.
-    The tables are memoised per exponent on the instance, read-only, when no
-    writable array shares the samples' memory (every ``make_signal`` or
-    ``make_symbol`` result made from a fresh array), so norms that share a
-    local exponent share the pass, and a caller that knows every exponent it
-    will ask for can fill their tables in one pass over the samples.
+    On a ``_LazySymbol`` with its samples not yet formed, such as an ``stft``
+    result, each pass forms the rows block by block (``_tile_reduce``), and
+    the samples stay unformed.  The tables are memoised per exponent on the
+    instance, read-only, when no writable array shares the samples' memory:
+    every ``make_signal`` or ``make_symbol`` result made from a fresh array,
+    and every lazy symbol until a caller makes its formed samples writable.
+    So norms that share a local exponent share the pass, a caller that knows
+    every exponent it will ask for can fill their tables in one pass, and a
+    memo hit forms no sample.
     """
-    tiles, _ = _cubes(f)
-    memo = f.__dict__.setdefault("_cube_tables", {}) if _frozen(f.samples) else {}
+    tiles = _cubes(f)
+    # unformed lazy samples will be a fresh read-only array: nothing can write them
+    memo = f.__dict__.setdefault("_cube_tables", {}) if tiles is f or _frozen(f.samples) else {}
     missing = list({p.value: p for p in exponents if p.value not in memo}.values())
     if missing:
         for p, table in zip(missing, _roots(tiles, missing)):
@@ -241,7 +268,8 @@ def _cube_table(f, p: ExtendedExponent) -> np.ndarray:
 
 def _amalgam(f, p: ExtendedExponent, q: ExtendedExponent) -> float:
     # l^q over the cube table, with the quadrature weight of the local L^p norms
-    return _cubes(f)[1] ** p.reciprocal * _sequence_norm(_cube_table(f, p), q)
+    table = _cube_table(f, p)
+    return f.cell ** p.reciprocal * _sequence_norm(table, q)
 
 
 def lp_norm(f, p) -> float:

@@ -16,6 +16,7 @@ import contextvars
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -25,7 +26,6 @@ from .grid import (
     SampledSymbol,
     inner_product,
     make_signal,
-    make_symbol,
     phase_space_symbol,
 )
 
@@ -192,6 +192,78 @@ def _each_slab(fn, slabs, height: int, width: int) -> None:
     _each(task, range(workers))
 
 
+class _LazySymbol(SampledSymbol):
+    """A ``SampledSymbol`` that keeps what its rows are made from and forms them on demand.
+
+    ``rows`` holds the sorted (start, stop) runs of the rows that may be
+    nonzero; every other row is zero.  A subclass forms the rows of a slice
+    inside one run with ``_form_rows(rows, out)``.  ``samples``, every row,
+    is formed on its first read and is read-only.  Calling the class, as
+    ``dataclasses.replace`` does, gives a plain ``SampledSymbol`` of the
+    fields it is passed; a copy or a pickle is a plain ``SampledSymbol`` of
+    the samples.
+    """
+
+    rows: tuple[tuple[int, int], ...]
+
+    def __new__(cls, *args, **kwargs):
+        return SampledSymbol(*args, **kwargs)
+
+    def __reduce__(self):
+        return SampledSymbol, (self.x_grid, self.w_grid, self.samples)
+
+    @classmethod
+    def _of(cls, x_grid: Grid1D, w_grid: Grid1D, **parts):
+        a = object.__new__(cls)  # calling the class would make a plain SampledSymbol
+        a.__dict__.update(x_grid=x_grid, w_grid=w_grid, **parts)
+        return a
+
+    @property
+    def formed(self) -> bool:
+        """Whether ``samples`` has been read."""
+        return "samples" in self.__dict__
+
+    @cached_property
+    def samples(self) -> np.ndarray:
+        out = np.zeros((self.x_grid.N, self.w_grid.N), dtype=np.complex128)
+
+        def fill(rows: slice) -> None:
+            self._form_rows(rows, out[rows])
+
+        _each_rows(fill, self.rows, self.w_grid.N)
+        out.flags.writeable = False
+        return out
+
+    def form(self, rows: slice, out: np.ndarray) -> None:
+        """Write rows ``rows`` of ``samples`` into ``out``, the same values, without forming ``samples``."""
+        done = rows.start
+        for start, stop in self.rows:
+            lo, hi = max(start, done), min(stop, rows.stop)
+            if lo < hi:
+                out[done - rows.start : lo - rows.start] = 0.0
+                self._form_rows(slice(lo, hi), out[lo - rows.start : hi - rows.start])
+                done = hi
+        out[done - rows.start :] = 0.0
+
+
+class _StftSymbol(_LazySymbol):
+    """V_g f, its rows formed on demand: row j is ``sign * FFT(fs * windows[j])``.
+
+    ``fs`` is the signal with the pre-sign and the scale folded in,
+    ``windows`` the table of the conjugate window translated to each time
+    position, and ``sign`` the post-sign (-1)^k.  ``stft`` builds it.
+    """
+
+    fs: np.ndarray
+    windows: np.ndarray
+    sign: np.ndarray
+
+    def _form_rows(self, rows: slice, out: np.ndarray) -> None:
+        np.multiply(self.fs, self.windows[rows], out=out)
+        np.fft.fft(out, axis=-1, out=out)
+        out *= self.sign
+
+
 def _symbol_stride(F: SampledSymbol, grid: Grid1D) -> int:
     """Check that ``F`` lives on a time sublattice of ``grid``'s phase space; return the time stride."""
     if F.w_grid != grid.dual:
@@ -218,8 +290,11 @@ def stft(f: SampledSignal, g: SampledSignal, plan: StftPlan | None = None) -> Sa
     Column x_j holds the centered DFT of t -> f(t) conj(g(t - x_j)) with
     circular windowing; this matches the direct quadrature sum exactly.  Only
     the rows in ``plan.rows`` are transformed; every other row is exact zero.
-    Rows are independent, and each task of ``_each`` transforms a slice of
-    them, so the result does not depend on the CPU count.
+    The rows are formed on demand: all of them on the first read of
+    ``samples``, or a block at a time by the norms' cube tables, which then
+    never hold the whole transform.  Rows are independent, and each task of
+    ``_each`` transforms a slice of them, so the result does not depend on
+    the CPU count.
     """
     if f.grid != g.grid:
         raise ValueError("stft requires signal and window on the same grid")
@@ -230,22 +305,17 @@ def stft(f: SampledSignal, g: SampledSignal, plan: StftPlan | None = None) -> Sa
         raise ValueError("plan was built for a different grid")
     n = grid.N
     nx = plan.shape[0]
-    runs = ((0, nx),) if plan.rows is None else plan.rows
-    out = np.zeros((nx, n), dtype=np.complex128)
     s = _alternating(n)
     # the pre-sign and the scale +-1/m fold into the signal once; both are exact
     # when m is a power of two, so the result is the same as signing each row
-    fs = f.samples * (s * (_center_sign(n) / grid.m))
-    windows = _translates(np.conj(g.samples))[n + n // 2 :: -plan.x_stride][:nx]
-
-    def transform(rows: slice) -> None:
-        block = out[rows]
-        np.multiply(fs, windows[rows], out=block)
-        np.fft.fft(block, axis=-1, out=block)
-        block *= s
-
-    _each_rows(transform, runs, n)
-    return make_symbol(Grid1D(grid.L, grid.m // plan.x_stride), grid.dual, out)
+    return _StftSymbol._of(
+        Grid1D(grid.L, grid.m // plan.x_stride),
+        grid.dual,
+        rows=((0, nx),) if plan.rows is None else plan.rows,
+        fs=f.samples * (s * (_center_sign(n) / grid.m)),
+        windows=_translates(np.conj(g.samples))[n + n // 2 :: -plan.x_stride][:nx],
+        sign=s,
+    )
 
 
 def synthesis(F: SampledSymbol, g: SampledSignal) -> SampledSignal:

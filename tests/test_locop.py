@@ -27,6 +27,7 @@ from tfamalgam import (
 )
 from tfamalgam.experiments import _suite_cases, random_bandlimited, random_tf_localized
 from tfamalgam.families import bump, chirp_family, gaussian_family, sharpness_symbol
+from tfamalgam.transforms import stft
 
 
 @pytest.fixture(scope="module")
@@ -469,3 +470,36 @@ def test_a_replaced_sharpness_symbol_reads_its_new_samples(amplitude):
     scaled = apply_locop(b, window, window, f).samples
     assert np.abs(scaled / amplitude - unit).max() <= 1e-9 * np.abs(unit).max()
     assert lp_norm(b, 2) == pytest.approx(amplitude * lp_norm(a, 2), rel=1e-9, abs=0.0)
+
+
+def _pairing_inputs(grid):
+    rng = np.random.default_rng(11)
+    a = sharpness_symbol(bump(0.0, 1.0), 4.0, grid)
+    f, g = (make_signal(grid, rng.standard_normal(grid.N) + 1j * rng.standard_normal(grid.N)) for _ in range(2))
+    return a, sample(bump(0.0, 1.0), grid), standard_window(grid), f, g
+
+
+@pytest.mark.parametrize("dense", [False, True])
+def test_weak_pairing_is_the_sum_of_symbol_times_stft_times_conjugate(dense):
+    # the in-place products keep the operand order of a * v1 * conj(v2), bit for bit
+    grid = make_grid(4, 64)
+    a, w1, w2, f, g = _pairing_inputs(grid)
+    if dense:
+        a = make_symbol(a.x_grid, a.w_grid, a.samples)
+    plan = locop._symbol_rows_plan(a, w1, w2)
+    v1, v2 = stft(f, w1, plan).samples, stft(g, w2, plan).samples
+    want = complex(a.cell * np.sum(a.samples * v1 * np.conj(v2)))
+    assert weak_pairing(a, w1, w2, f, g) == want
+    assert want != 0.0
+
+
+def test_weak_pairing_holds_its_two_stfts_and_no_other_symbol_sized_array():
+    grid = make_grid(4, 256)
+    a, w1, w2, f, g = _pairing_inputs(grid)
+    tracemalloc.start()
+    try:
+        weak_pairing(a, w1, w2, f, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.2 * grid.N**2 * 16

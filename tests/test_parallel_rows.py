@@ -253,6 +253,7 @@ def test_synthesis_holds_no_block_of_the_symbol(monkeypatch):
     f = make_signal(grid, np.random.default_rng(5).standard_normal(n))
     g = standard_window(grid)
     v = stft(f, g)
+    v.samples  # formed before the window, so the peak is synthesis alone
     monkeypatch.setattr(transforms, "_workers", lambda: 2)
     rows = transforms._task_rows(n)
     bound = (3 * rows + n // rows + 1) * n * 16  # slabs, then one row per slab sum and the output

@@ -65,3 +65,11 @@ def test_bench_region_locop_timer_keeps_every_call_at_a_tiny_size():
     assert all(len(secs) == 2 and all(0.0 < s < 60.0 for s in secs) for secs in timings.values())
     spread = bench._summary({"N=64": timings}, lambda secs: max(secs) - min(secs))
     assert all(s >= 0.0 for s in spread["N=64"].values())
+
+
+def test_bench_stft_table_timer_times_both_scan_probes():
+    bench = _load("bench")
+    timings = bench.stft_table_timings(repeats=1)
+    assert set(timings) == {"N=2048", "N=4096"}
+    assert all(set(layers) == {"stft tables"} and len(layers["stft tables"]) == 1 for layers in timings.values())
+    assert all(0.0 < t < 60.0 for layers in timings.values() for t in layers["stft tables"])
