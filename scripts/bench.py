@@ -27,7 +27,9 @@ N = 2048 and the chirp probe at N = 4096, on the scan's grids.  Each layer
 is called 5 times, each on a fresh frozen input, so the cube-table memo of
 the norms cannot hide their cost; the record holds the best time and,
 next to it, the spread (slowest minus fastest), which bounds the noise
-in a delta between two records.
+in a delta between two records.  One more, untimed call of each layer,
+after the timed ones, runs under ``tracemalloc``: its peak, in MiB above
+what the input holds, is the layer's ``layers_peak_alloc_mb``.
 
 ``--root`` measures another checkout (its ``src/`` and ``perfbench/``) with
 this script.  The record holds that checkout's git SHA, whether its tree
@@ -48,6 +50,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -71,6 +74,27 @@ def _timings(call, make_input, repeats: int) -> list[float]:
     return out
 
 
+def _peak_alloc_mb(call, make_input) -> float:
+    """The tracemalloc peak of one untimed call, in MiB, on an input built before tracing starts."""
+    arg = make_input()
+    tracemalloc.start()
+    try:
+        call(arg)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def _time_each(layers: dict, repeats: int, peaks: dict | None) -> dict:
+    """``_timings`` of every ``name: (call, make_input)``; with a ``peaks`` dict, each call's peak too."""
+    out = {}
+    for name, (call, make) in layers.items():
+        out[name] = _timings(call, make, repeats)
+        if peaks is not None:
+            peaks[name] = _peak_alloc_mb(call, make)
+    return out
+
+
 def _summary(timings: dict, reduce) -> dict:
     return {size: {name: reduce(secs) for name, secs in layers.items()} for size, layers in timings.items()}
 
@@ -80,8 +104,11 @@ def time_layers(sizes=LAYER_SIZES, kernel_sizes=KERNEL_SIZES, repeats: int = REP
     return _summary(layer_timings(sizes, kernel_sizes, repeats), min)
 
 
-def layer_timings(sizes=LAYER_SIZES, kernel_sizes=KERNEL_SIZES, repeats: int = REPEATS) -> dict:
-    """Seconds of every timed layer call, keyed by ``N=<size>`` then layer name."""
+def layer_timings(sizes=LAYER_SIZES, kernel_sizes=KERNEL_SIZES, repeats: int = REPEATS, peaks=None) -> dict:
+    """Seconds of every timed layer call, keyed by ``N=<size>`` then layer name.
+
+    A ``peaks`` dict receives the tracemalloc peaks (MiB) under the same keys.
+    """
     # the library loads here, after main() has pinned the BLAS threads and put
     # the measured checkout's src/ first on the path
     from tfamalgam import (
@@ -138,7 +165,8 @@ def layer_timings(sizes=LAYER_SIZES, kernel_sizes=KERNEL_SIZES, repeats: int = R
             "lp_norm": (lambda a: lp_norm(a, "4/3"), symbol),
             "modulation_norm_triebel": (lambda x: modulation_norm_triebel(x, 2, 1), signal),
         }
-        out[f"N={n}"] = {name: _timings(call, make, repeats) for name, (call, make) in layers.items()}
+        key = f"N={n}"
+        out[key] = _time_each(layers, repeats, None if peaks is None else peaks.setdefault(key, {}))
     for n in kernel_sizes:
         grid = make_grid(8, n // 8)
         window = standard_window(grid)
@@ -147,21 +175,27 @@ def layer_timings(sizes=LAYER_SIZES, kernel_sizes=KERNEL_SIZES, repeats: int = R
             return phase_space_symbol(grid, SYMBOL_EVALUATORS["gaussian"])
 
         entries = build_kernel(gaussian_symbol(), window, window).entries
-        timings = out.setdefault(f"N={n}", {})
-        timings["build_kernel"] = _timings(lambda a: build_kernel(a, window, window), gaussian_symbol, repeats)
-        timings["opnorm_l2"] = _timings(opnorm_l2, lambda: KernelMatrix(grid, entries.copy()), repeats)
+        layers = {
+            "build_kernel": (lambda a: build_kernel(a, window, window), gaussian_symbol),
+            "opnorm_l2": (opnorm_l2, lambda: KernelMatrix(grid, entries.copy())),
+        }
+        key = f"N={n}"
+        out.setdefault(key, {}).update(
+            _time_each(layers, repeats, None if peaks is None else peaks.setdefault(key, {}))
+        )
         del entries
     return out
 
 
-def region_locop_timings(n: int = LOCOP_SIZE, repeats: int = REPEATS) -> dict:
+def region_locop_timings(n: int = LOCOP_SIZE, repeats: int = REPEATS, peaks=None) -> dict:
     """Seconds of ``sharpness_symbol`` and ``apply_locop`` calls as the region-locop scans make them.
 
     A sharpness symbol keeps its two factors and forms its samples only when
     they are read, and the scans never read them.  So ``sharpness_symbol L=``
     times building the factors (sampling h and the chirp, one inverse
     transform), and ``apply_locop L=`` includes the row products
-    h(x) freq(w) that weight the STFT.
+    h(x) freq(w) that weight the STFT.  A ``peaks`` dict receives the
+    tracemalloc peaks (MiB) under the same keys.
     """
     from tfamalgam import (
         apply_locop,
@@ -182,22 +216,24 @@ def region_locop_timings(n: int = LOCOP_SIZE, repeats: int = REPEATS) -> dict:
         window = window_of(grid)
         lam = min(16.0, max_alias_free_lambda(grid, 1.0))
         f = make_signal(grid, sample(chirp_family(profile, lam), grid).samples.conj())
-        out[f"sharpness_symbol L={cubes}"] = _timings(
-            lambda rate: sharpness_symbol(profile, rate, grid), lambda: lam, repeats
-        )
-        out[f"apply_locop L={cubes}"] = _timings(
-            lambda a: apply_locop(a, window, window, f), lambda: sharpness_symbol(profile, lam, grid), repeats
-        )
+        layers = {
+            f"sharpness_symbol L={cubes}": (lambda rate: sharpness_symbol(profile, rate, grid), lambda: lam),
+            f"apply_locop L={cubes}": (
+                lambda a: apply_locop(a, window, window, f), lambda: sharpness_symbol(profile, lam, grid)
+            ),
+        }
+        out.update(_time_each(layers, repeats, peaks))
     return out
 
 
-def stft_table_timings(repeats: int = REPEATS) -> dict:
+def stft_table_timings(repeats: int = REPEATS, peaks=None) -> dict:
     """Seconds of ``stft`` then the cube tables of the five lattice exponents, as ``scan_stft`` makes them.
 
     Keyed by ``N=<size>``: the smooth probe (a dilated Gaussian) at N = 2048
     and the chirp probe at N = 4096, both at lambda 32 on the grids of
     ``StftScanSettings``.  Each call takes a fresh signal, so its STFT has
-    no tables yet.
+    no tables yet.  A ``peaks`` dict receives the tracemalloc peaks (MiB)
+    under the same keys.
     """
     from tfamalgam import StftScanSettings, bump, chirp_family, gaussian_family, make_signal, sample, standard_window, stft
     from tfamalgam.grid import as_exponent
@@ -212,13 +248,14 @@ def stft_table_timings(repeats: int = REPEATS) -> dict:
     ):
         window = standard_window(grid)
         probe = sample(spec, grid).samples
-        out[f"N={grid.N}"] = {
-            "stft tables": _timings(
+        layers = {
+            "stft tables": (
                 lambda x: _fill_cube_tables(stft(x, window), exponents),
                 lambda: make_signal(grid, probe.copy()),
-                repeats,
             )
         }
+        key = f"N={grid.N}"
+        out[key] = _time_each(layers, repeats, None if peaks is None else peaks.setdefault(key, {}))
     return out
 
 
@@ -302,12 +339,14 @@ def main(argv=None) -> int:
     record["workloads"] = run_workloads(
         root, [w["name"] for w in benchmark["workloads"]], SEEDS, benchmark["run_seconds"]
     )
-    timings = layer_timings()
-    timings[f"N={LOCOP_SIZE}"].update(region_locop_timings())
-    for size, layers in stft_table_timings().items():
+    peaks: dict = {}
+    timings = layer_timings(peaks=peaks)
+    timings[f"N={LOCOP_SIZE}"].update(region_locop_timings(peaks=peaks[f"N={LOCOP_SIZE}"]))
+    for size, layers in stft_table_timings(peaks=peaks).items():
         timings[size].update(layers)
     record["layers_s"] = _summary(timings, min)
     record["layers_spread_s"] = _summary(timings, lambda secs: max(secs) - min(secs))
+    record["layers_peak_alloc_mb"] = peaks
     record["layers_peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
     print(f"tier1 {record['tier1']['wall_s']:.1f} s: {record['tier1']['summary']}")
@@ -316,6 +355,7 @@ def main(argv=None) -> int:
     for size, layers in record["layers_s"].items():
         spread = record["layers_spread_s"][size]
         print(size, " ".join(f"{k}={v:.4g}(+{spread[k]:.2g})" for k, v in layers.items()))
+        print(size, "peak MiB", " ".join(f"{k}={v:.3g}" for k, v in record["layers_peak_alloc_mb"][size].items()))
     return 0
 
 

@@ -21,7 +21,7 @@ from .grid import (
     max_alias_free_lambda,
     sample,
 )
-from .transforms import _LazySymbol, _chunks, _each_slab, _nonzero_row_runs, _task_rows, inverse_fourier
+from .transforms import _LazySymbol, _nonzero_row_runs, inverse_fourier
 
 
 @dataclass(frozen=True)
@@ -106,9 +106,10 @@ SYMBOL_EVALUATORS = {
 }
 
 
-#: samples of h(x) freq(w) a worker forms at once when it weights an STFT by
-#: them: blocks of rows, not single rows, so each pair of ufunc calls has work
-#: enough that the threads do not queue for the interpreter lock between them
+#: samples of h(x) freq(w) a worker forms at once when it weights its slab of
+#: an STFT by them (``locop._WeightedStft``): blocks of rows, not single rows,
+#: so each pair of ufunc calls has work enough that the threads do not queue
+#: for the interpreter lock between them
 _PRODUCT_ELEMENTS = 1 << 14
 
 
@@ -129,25 +130,6 @@ class _SeparableSymbol(_LazySymbol):
 
     def _form_rows(self, rows: slice, out: np.ndarray) -> None:
         np.multiply(self.h[rows, None], self.freq, out=out)
-
-    def weight(self, v: np.ndarray) -> None:
-        """``v = samples * v`` in place, on the rows of ``rows``, without forming ``samples``.
-
-        Each worker forms a block of rows of h(x) freq(w) at a time in its
-        own buffer, as the first read of ``samples`` forms them, and
-        multiplies in the same operand order, so the result is the same.
-        """
-        width = self.freq.size
-        step = max(1, _PRODUCT_ELEMENTS // width)
-
-        def task(_, rows: slice, buf: np.ndarray) -> None:
-            for lo in range(rows.start, rows.stop, step):
-                block = slice(lo, min(lo + step, rows.stop))
-                product = buf[: block.stop - lo]
-                self._form_rows(block, product)
-                np.multiply(product, v[block], out=v[block])
-
-        _each_slab(task, list(_chunks(self.rows, _task_rows(width))), step, width)
 
 
 def sharpness_symbol(profile: WindowSpec, lam: float, grid: Grid1D) -> SampledSymbol:

@@ -4,7 +4,9 @@ An operator with phase-space symbol a and windows (phi1, phi2) acts as
 
     A f = synthesis(a . stft(f, phi1), phi2),
 
-equivalently as the integral operator with kernel
+where the weighted STFT a . stft(f, phi1) is formed a slab of rows at a
+time by the workers of ``synthesis`` and never held whole; equivalently as
+the integral operator with kernel
 
     K(x, y) = sum_{j,k} a(t_j, w_k) M_{w_k} T_{t_j} phi2(x)
                           conj(M_{w_k} T_{t_j} phi1(y)) * cell.
@@ -25,13 +27,12 @@ from .grid import (
     SampledSymbol,
     as_exponent,
     make_signal,
-    make_symbol,
 )
-from .families import _SeparableSymbol
+from . import families
 from .norms import lp_norm
 from .transforms import (
     StftPlan,
-    _each_rows,
+    _LazySymbol,
     _nonzero_row_runs,
     _symbol_stride,
     _translates,
@@ -58,32 +59,39 @@ def _symbol_rows_plan(a: SampledSymbol, phi1: SampledSignal, phi2: SampledSignal
     A separable symbol gives the rows of its time factor, so its samples are
     not read.
     """
-    rows = a.rows if isinstance(a, _SeparableSymbol) else _nonzero_row_runs(a.samples)
+    rows = a.rows if isinstance(a, families._SeparableSymbol) else _nonzero_row_runs(a.samples)
     return replace(_check_operator_shapes(a, phi1, phi2), rows=rows)
 
 
-def _weight(a: SampledSymbol, v: np.ndarray, rows) -> None:
-    """``v = a.samples * v`` in place, on the row runs ``rows`` outside which ``a`` is zero.
+class _WeightedStft(_LazySymbol):
+    """The weighted STFT a . V, its rows formed on demand: each row of V times that row of a.
 
-    The product keeps this operand order (``v *= a`` rounds differently in
-    the complex product) and runs on row bands of the pool; a separable
-    symbol forms its rows a block at a time, so its samples are never formed.
+    ``v`` is the lazy STFT on the rows of ``rows``, outside which ``a`` is
+    zero.  The product keeps the operand order of ``a * v`` (``v *= a``
+    rounds differently in the complex product).  A separable ``a`` forms
+    ``families._PRODUCT_ELEMENTS`` samples of h(x) freq(w) at a time, so its
+    samples are never formed.
     """
-    if isinstance(a, _SeparableSymbol):
-        a.weight(v)
-        return
 
-    def weight(band: slice) -> None:
-        np.multiply(a.samples[band], v[band], out=v[band])
+    a: SampledSymbol
+    v: SampledSymbol
 
-    _each_rows(weight, rows, v.shape[1])
+    def _form_rows(self, rows: slice, out: np.ndarray) -> None:
+        self.v._form_rows(rows, out)
+        if not isinstance(self.a, families._SeparableSymbol):
+            np.multiply(self.a.samples[rows], out, out=out)
+            return
+        step = max(1, families._PRODUCT_ELEMENTS // out.shape[1])
+        product = np.empty_like(out[:step])
+        for lo in range(0, len(out), step):
+            hi = min(lo + step, len(out))
+            self.a._form_rows(slice(rows.start + lo, rows.start + hi), product[: hi - lo])
+            np.multiply(product[: hi - lo], out[lo:hi], out=out[lo:hi])
 
 
-def _writable_stft(f: SampledSignal, window: SampledSignal, plan: StftPlan) -> np.ndarray:
-    """The samples of V_window f on ``plan``, writable: a fresh array nothing else holds."""
-    v = stft(f, window, plan).samples
-    v.flags.writeable = True
-    return v
+def _weighted_stft(a: SampledSymbol, f: SampledSignal, phi1: SampledSignal, plan: StftPlan) -> _WeightedStft:
+    """a . V_{phi1} f on the rows of ``plan``, formed on demand."""
+    return _WeightedStft._of(a.x_grid, a.w_grid, rows=plan.rows, a=a, v=stft(f, phi1, plan))
 
 
 def apply_locop(
@@ -95,13 +103,11 @@ def apply_locop(
     """Apply the localization operator with symbol ``a`` and windows (phi1, phi2).
 
     Rows where ``a`` vanishes add nothing, so they are neither transformed nor
-    synthesised.  V_{phi1} f is weighted where it lies (``_weight``), so the
-    operator holds one symbol-sized array.
+    synthesised.  ``synthesis`` receives the weighted STFT a . V_{phi1} f
+    unformed, and each of its workers forms a slab of rows of it in its own
+    buffer, so the operator holds no symbol-sized array.
     """
-    plan = _symbol_rows_plan(a, phi1, phi2)
-    v = _writable_stft(f, phi1, plan)
-    _weight(a, v, plan.rows)
-    return synthesis(make_symbol(a.x_grid, a.w_grid, v), phi2)
+    return synthesis(_weighted_stft(a, f, phi1, _symbol_rows_plan(a, phi1, phi2)), phi2)
 
 
 def weak_pairing(
@@ -114,14 +120,14 @@ def weak_pairing(
     """Phase-space quadrature of a * V_{phi1} f * conj(V_{phi2} g).
 
     Equals <A f, g> exactly (same sum re-associated).  Both STFTs skip the
-    rows where ``a`` vanishes, and the products are taken in place, in the
+    rows where ``a`` vanishes.  ``v1`` is the samples of the weighted STFT
+    ``apply_locop`` synthesises, and the conjugate is taken in place, in the
     operand order of ``a * v1 * conj(v2)``, so the pairing holds the two
     STFTs and no other symbol-sized array.
     """
     plan = _symbol_rows_plan(a, phi1, phi2)
-    v1 = _writable_stft(f, phi1, plan)
-    _weight(a, v1, plan.rows)
-    v2 = _writable_stft(g, phi2, plan)
+    v1, v2 = _weighted_stft(a, f, phi1, plan).samples, stft(g, phi2, plan).samples
+    v1.flags.writeable = v2.flags.writeable = True  # fresh arrays that nothing else holds
     v1 *= np.conjugate(v2, out=v2)
     return complex(a.cell * np.sum(v1))
 

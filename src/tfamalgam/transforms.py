@@ -291,10 +291,10 @@ def stft(f: SampledSignal, g: SampledSignal, plan: StftPlan | None = None) -> Sa
     circular windowing; this matches the direct quadrature sum exactly.  Only
     the rows in ``plan.rows`` are transformed; every other row is exact zero.
     The rows are formed on demand: all of them on the first read of
-    ``samples``, or a block at a time by the norms' cube tables, which then
-    never hold the whole transform.  Rows are independent, and each task of
-    ``_each`` transforms a slice of them, so the result does not depend on
-    the CPU count.
+    ``samples``, or a block at a time by the norms' cube tables and a slab at
+    a time by ``synthesis``, which then never hold the whole transform.
+    Rows are independent, and each task of ``_each`` transforms a slice of
+    them, so the result does not depend on the CPU count.
     """
     if f.grid != g.grid:
         raise ValueError("stft requires signal and window on the same grid")
@@ -326,18 +326,26 @@ def synthesis(F: SampledSymbol, g: SampledSignal) -> SampledSignal:
     rows of F add nothing and are skipped; the others are summed in slabs of
     ``_task_rows(N)`` rows, each in row order on a task of ``_each``, and the
     slab sums in slab order, so the result does not depend on the CPU count.
+    A lazy F whose samples are not formed yet is never formed whole: its
+    slabs cut the runs of ``F.rows``, and each worker forms the rows of its
+    slab in its own buffer.
     """
     grid = g.grid
     stride = _symbol_stride(F, grid)
     n = grid.N
-    slabs = list(_chunks(_nonzero_row_runs(F.samples), _task_rows(n)))
-    windows = _translates(g.samples)[n + n // 2 :: -stride][: F.samples.shape[0]]
+    lazy = isinstance(F, _LazySymbol) and not F.formed
+    slabs = list(_chunks(F.rows if lazy else _nonzero_row_runs(F.samples), _task_rows(n)))
+    windows = _translates(g.samples)[n + n // 2 :: -stride][: F.x_grid.N]
     s = _alternating(n)
     sums = np.empty((len(slabs), n), dtype=np.complex128)
 
     def transform(i: int, rows: slice, buf: np.ndarray) -> None:
         slab = buf[: rows.stop - rows.start]
-        np.multiply(F.samples[rows], s, out=slab)
+        if lazy:
+            F.form(rows, slab)
+            slab *= s
+        else:
+            np.multiply(F.samples[rows], s, out=slab)
         np.fft.ifft(slab, axis=-1, out=slab)
         slab *= windows[rows]
         slab.sum(axis=0, out=sums[i])

@@ -27,6 +27,7 @@ from tfamalgam import (
 )
 from tfamalgam.experiments import _suite_cases, random_bandlimited, random_tf_localized
 from tfamalgam.families import bump, chirp_family, gaussian_family, sharpness_symbol
+from tfamalgam import transforms
 from tfamalgam.transforms import stft
 
 
@@ -408,8 +409,8 @@ def test_fft_kernel_peak_allocation_n1024():
 
 @pytest.mark.parametrize("stride", [1, 4])
 def test_apply_locop_holds_at_most_two_symbol_sized_arrays(stride):
-    # V_{phi1} f is dropped once weighted and synthesis transforms one row block at a
-    # time, so neither the STFT nor a copy of the weighted symbol outlives its use
+    # synthesis forms the weighted STFT one slab of rows at a time, so neither
+    # the STFT nor the weighted symbol is ever held whole
     g = make_grid(4, 256)
     phi = standard_window(g)
     x_grid = make_grid(4, 256 // stride)
@@ -427,8 +428,8 @@ def test_apply_locop_holds_at_most_two_symbol_sized_arrays(stride):
 
 @pytest.mark.parametrize(("grid", "bound"), [(make_grid(4, 256), 1.6), (make_grid(8, 128), 1.3)])
 def test_apply_locop_weights_the_stft_where_it_lies(grid, bound):
-    # the STFT becomes the weighted symbol, and synthesis buffers only the rows
-    # of supp h: half of them on the 4 x 256 grid, a quarter on the 8 x 128 grid
+    # synthesis forms and buffers only the rows of supp h of the weighted STFT:
+    # half of them on the 4 x 256 grid, a quarter on the 8 x 128 grid
     window = sample(bump(0.0, 1.0), grid)
     a = sharpness_symbol(bump(0.0, 1.0), 4.0, grid)
     f = make_signal(grid, np.conj(sample(chirp_family(bump(0.0, 1.0), 4.0), grid).samples))
@@ -442,8 +443,8 @@ def test_apply_locop_weights_the_stft_where_it_lies(grid, bound):
 
 
 def test_apply_locop_never_forms_the_samples_of_a_sharpness_symbol():
-    # the operator holds its STFT and the synthesis slabs (half the rows here);
-    # the dense symbol would add a second symbol-sized array to those
+    # the operator holds the synthesis slabs; the dense symbol would add a
+    # symbol-sized array to those
     grid = make_grid(4, 256)
     window = sample(bump(0.0, 1.0), grid)
     f = make_signal(grid, np.conj(sample(chirp_family(bump(0.0, 1.0), 4.0), grid).samples))
@@ -454,6 +455,24 @@ def test_apply_locop_never_forms_the_samples_of_a_sharpness_symbol():
     finally:
         tracemalloc.stop()
     assert peak < 2 * grid.N**2 * 16
+
+
+def test_apply_locop_at_scan_size_holds_no_symbol_sized_array(monkeypatch):
+    # the scan-locop operator at lambda 16: synthesis forms the weighted STFT a
+    # slab at a time, so two workers hold one slab buffer each and no STFT
+    monkeypatch.setattr(transforms, "_workers", lambda: 2)
+    grid = make_grid(4, 512)
+    window = sample(bump(0.0, 1.0), grid)
+    f = make_signal(grid, np.conj(sample(chirp_family(bump(0.0, 1.0), 16.0), grid).samples))
+    a = sharpness_symbol(bump(0.0, 1.0), 16.0, grid)
+    tracemalloc.start()
+    try:
+        out = apply_locop(a, window, window, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not a.formed and np.abs(out.samples).max() > 0.0
+    assert peak < 0.25 * grid.N**2 * 16
 
 
 @pytest.mark.parametrize("amplitude", [1e-150, 1e150])

@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
-from tfamalgam import families, norms, transforms
+from tfamalgam import families, locop, norms, transforms
 from tfamalgam.families import bump, chirp_family, gaussian_family, sharpness_symbol
 from tfamalgam.grid import as_exponent, make_grid, make_signal, make_symbol, sample
 from tfamalgam.locop import apply_locop
@@ -267,6 +267,42 @@ def test_synthesis_holds_no_block_of_the_symbol(monkeypatch):
     assert peak < bound
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize(("stride", "rows"), [(1, None), (2, ((3, 21), (25, 60)))])
+def test_synthesis_of_an_unformed_stft_equals_it_of_the_dense_copy(small_bands, workers, stride, rows):
+    # the lazy STFT's slabs cut the runs of its rows, as the dense copy's cut its
+    # nonzero runs: the same slabs, so the same sums, and the STFT is never formed
+    small_bands(workers)
+    f, g = sample(chirp_family(bump(0.0, 1.0), 3.0), GRID), standard_window(GRID)
+    plan = StftPlan(GRID, stride, rows)
+    v = stft(f, g, plan)
+    dense = stft(f, g, plan).samples
+    out = synthesis(v, g).samples
+    assert not v.formed
+    assert np.array_equal(out, synthesis(make_symbol(v.x_grid, v.w_grid, dense), g).samples)
+    assert np.abs(out).max() > 0.0
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_synthesis_of_a_lazy_symbol_sums_a_zero_row_inside_its_runs(small_bands, workers):
+    # row 9 of the weighted STFT is zero inside its one run: its slab holds the
+    # zero row where the dense copy's slabs split at it, so the sums regroup
+    small_bands(workers)
+    rng = np.random.default_rng(3)
+    samples = rng.standard_normal((GRID.N, GRID.N)) + 1j * rng.standard_normal((GRID.N, GRID.N))
+    samples[9] = 0.0
+    a = make_symbol(GRID, GRID.dual, samples)
+    f, g = sample(chirp_family(bump(0.0, 1.0), 3.0), GRID), standard_window(GRID)
+    plan = StftPlan(GRID, rows=((0, GRID.N),))
+    F = locop._weighted_stft(a, f, g, plan)
+    dense = locop._weighted_stft(a, f, g, plan).samples
+    assert _nonzero_row_runs(dense) == ((0, 9), (10, GRID.N))
+    out = synthesis(F, g).samples
+    want = synthesis(make_symbol(GRID, GRID.dual, dense), g).samples
+    assert not F.formed
+    assert np.abs(out - want).max() <= 1e-14 * np.abs(want).max()
+
+
 def _sharpness_operator(grid=GRID, lam=3.0):
     window = sample(bump(0.0, 1.0), grid)
     f = make_signal(grid, np.conj(sample(chirp_family(bump(0.0, 1.0), lam), grid).samples))
@@ -283,13 +319,31 @@ def test_apply_locop_is_bit_identical_for_any_worker_count(small_bands):
     assert np.abs(threaded).max() > 0.0
 
 
-def test_apply_locop_weights_the_stft_as_symbol_times_stft(small_bands):
-    # the in-place weighting keeps the operand order of a * V f, bit for bit
-    small_bands(2)
-    a, window, f = _sharpness_operator()
-    v = stft(f, window, StftPlan(GRID)).samples
-    want = synthesis(make_symbol(a.x_grid, a.w_grid, a.samples * v), window).samples
-    assert np.array_equal(apply_locop(a, window, window, f).samples, want)
+def _dense_operator(stride):
+    # a random symbol with zero rows, so its runs end part-way through a slab
+    x_grid = make_grid(GRID.L, GRID.m // stride)
+    rng = np.random.default_rng(13)
+    samples = rng.standard_normal((x_grid.N, GRID.N)) + 1j * rng.standard_normal((x_grid.N, GRID.N))
+    samples[5:7] = 0.0
+    samples[-3:] = 0.0
+    f = make_signal(GRID, rng.standard_normal(GRID.N) + 1j * rng.standard_normal(GRID.N))
+    return make_symbol(x_grid, GRID.dual, samples), standard_window(GRID), f
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("operator", ["separable", "dense", "dense at stride 4"])
+def test_streamed_operator_equals_synthesis_of_the_dense_weighted_stft(small_bands, workers, operator):
+    # the slabs synthesis forms of a . V are the rows of the dense product a * V,
+    # bit for bit, with product blocks and slabs that end part-way
+    small_bands(workers)
+    if operator == "separable":
+        a, window, f = _sharpness_operator()
+    else:
+        a, window, f = _dense_operator(4 if operator.endswith("4") else 1)
+    out = apply_locop(a, window, window, f).samples
+    v = stft(f, window, StftPlan(GRID, GRID.m // a.x_grid.m)).samples
+    assert np.array_equal(out, synthesis(make_symbol(a.x_grid, a.w_grid, a.samples * v), window).samples)
+    assert np.abs(out).max() > 0.0
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -302,7 +356,7 @@ def test_apply_locop_weights_the_stft_as_symbol_times_stft(small_bands):
     ],
 )
 def test_apply_locop_on_the_factors_equals_it_on_the_samples(small_bands, workers, grid, profile, lam, window_of):
-    # the operator weights the STFT one row of h(x) freq(w) at a time: the same
+    # the weighted STFT forms h(x) freq(w) a block of rows at a time: the same
     # products, in the same operand order, as the formed samples give
     small_bands(workers)
     window = window_of(grid)

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -73,3 +74,39 @@ def test_bench_stft_table_timer_times_both_scan_probes():
     assert set(timings) == {"N=2048", "N=4096"}
     assert all(set(layers) == {"stft tables"} and len(layers["stft tables"]) == 1 for layers in timings.values())
     assert all(0.0 < t < 60.0 for layers in timings.values() for t in layers["stft tables"])
+
+
+def test_bench_records_a_peak_allocation_beside_every_layer_time():
+    bench = _load("bench")
+    peaks = {}
+    timings = bench.layer_timings(sizes=(64,), kernel_sizes=(32,), repeats=1, peaks=peaks)
+    timings["N=64"].update(bench.region_locop_timings(n=64, repeats=1, peaks=peaks["N=64"]))
+    assert {k: set(v) for k, v in peaks.items()} == {k: set(v) for k, v in timings.items()}
+    assert all(0.0 < mb < 16.0 for layers in peaks.values() for mb in layers.values())
+    table_peaks = {}
+    tables = bench.stft_table_timings(repeats=1, peaks=table_peaks)
+    assert {k: set(v) for k, v in table_peaks.items()} == {k: set(v) for k, v in tables.items()}
+    # the tables are streamed: far below the 256 MiB of the formed 4096^2 STFT
+    assert all(0.0 < layers["stft tables"] < 64.0 for layers in table_peaks.values())
+
+
+def test_bench_writes_the_peak_allocations_next_to_the_layer_times(monkeypatch, tmp_path):
+    bench = _load("bench")
+    layer_timings, region_locop_timings = bench.layer_timings, bench.region_locop_timings
+    for var in bench.BLAS_THREAD_VARS:  # main() pins them; restored after the test
+        monkeypatch.setenv(var, "1")
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setattr(bench, "LOCOP_SIZE", 64)
+    monkeypatch.setattr(bench, "run_tier1", lambda root: {"wall_s": 0.0, "exit_code": 0, "summary": ""})
+    monkeypatch.setattr(bench, "run_workloads", lambda *args: {})
+    monkeypatch.setattr(
+        bench, "layer_timings", lambda peaks: layer_timings(sizes=(64,), kernel_sizes=(32,), repeats=1, peaks=peaks)
+    )
+    monkeypatch.setattr(bench, "region_locop_timings", lambda peaks: region_locop_timings(n=64, repeats=1, peaks=peaks))
+    monkeypatch.setattr(bench, "stft_table_timings", lambda peaks: {})
+    out = tmp_path / "BENCH.json"
+    assert bench.main(["--out", str(out)]) == 0
+    record = json.loads(out.read_text())
+    layers = {k: set(v) for k, v in record["layers_s"].items()}
+    assert {k: set(v) for k, v in record["layers_peak_alloc_mb"].items()} == layers
+    assert "apply_locop L=4" in layers["N=64"]
