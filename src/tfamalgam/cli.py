@@ -56,7 +56,7 @@ from .families import (
 )
 from .grid import as_exponent, make_grid, phase_space_symbol, sample
 from .locop import apply_locop
-from .norms import NORM_ARITY, NormSpec, amalgam_norm, evaluate_norm, lp_norm, standard_window
+from .norms import NORM_ARITY, NormSpec, _fill_cube_tables, amalgam_norm, evaluate_norm, lp_norm, standard_window
 from .transforms import stft
 
 
@@ -360,6 +360,8 @@ def _run_stft(cfg: RunConfig) -> RunResult:
     grid, f = _inputs(cfg)
     window = _lookup(WINDOWS, cfg.window, "window")(grid)
     v = stft(f, window)
+    # the norms below read two cube tables: fill both in one pass over the rows
+    _fill_cube_tables(v, [as_exponent(2), as_exponent("inf")])
     check = stft_orthogonality_check(v, f, window)
     columns = ["quantity", "value"]
     records = [

@@ -117,7 +117,8 @@ class _SeparableSymbol(_LazySymbol):
     """The phase-space symbol h(x) freq(w), kept as its two factors.
 
     ``sharpness_symbol`` builds it.  Its rows are formed on demand (see
-    ``transforms._LazySymbol``), each as the products ``np.outer`` makes.
+    ``transforms._LazySymbol``), each as the products ``np.outer`` makes;
+    they carry no column sign.
     """
 
     h: np.ndarray  # the time factor, on x_grid
@@ -128,7 +129,7 @@ class _SeparableSymbol(_LazySymbol):
         """The (start, stop) runs of rows where h is nonzero; every other row of ``samples`` is zero."""
         return _nonzero_row_runs(self.h[:, None])
 
-    def _form_rows(self, rows: slice, out: np.ndarray) -> None:
+    def _fill_rows(self, rows: slice, out: np.ndarray) -> None:
         np.multiply(self.h[rows, None], self.freq, out=out)
 
 

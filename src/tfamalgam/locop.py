@@ -67,8 +67,10 @@ class _WeightedStft(_LazySymbol):
     """The weighted STFT a . V, its rows formed on demand: each row of V times that row of a.
 
     ``v`` is the lazy STFT on the rows of ``rows``, outside which ``a`` is
-    zero.  The product keeps the operand order of ``a * v`` (``v *= a``
-    rounds differently in the complex product).  A separable ``a`` forms
+    zero.  Each row is filled from the unsigned row of ``v``, and ``sign`` is
+    ``v``'s: a * (-x) = -(a * x), so the signed rows are those of a * v.  The
+    product keeps the operand order of ``a * v`` (``v *= a`` rounds
+    differently in the complex product).  A separable ``a`` forms
     ``families._PRODUCT_ELEMENTS`` samples of h(x) freq(w) at a time, so its
     samples are never formed.
     """
@@ -76,8 +78,8 @@ class _WeightedStft(_LazySymbol):
     a: SampledSymbol
     v: SampledSymbol
 
-    def _form_rows(self, rows: slice, out: np.ndarray) -> None:
-        self.v._form_rows(rows, out)
+    def _fill_rows(self, rows: slice, out: np.ndarray) -> None:
+        self.v._fill_rows(rows, out)
         if not isinstance(self.a, families._SeparableSymbol):
             np.multiply(self.a.samples[rows], out, out=out)
             return
@@ -85,13 +87,14 @@ class _WeightedStft(_LazySymbol):
         product = np.empty_like(out[:step])
         for lo in range(0, len(out), step):
             hi = min(lo + step, len(out))
-            self.a._form_rows(slice(rows.start + lo, rows.start + hi), product[: hi - lo])
+            self.a._fill_rows(slice(rows.start + lo, rows.start + hi), product[: hi - lo])
             np.multiply(product[: hi - lo], out[lo:hi], out=out[lo:hi])
 
 
 def _weighted_stft(a: SampledSymbol, f: SampledSignal, phi1: SampledSignal, plan: StftPlan) -> _WeightedStft:
     """a . V_{phi1} f on the rows of ``plan``, formed on demand."""
-    return _WeightedStft._of(a.x_grid, a.w_grid, rows=plan.rows, a=a, v=stft(f, phi1, plan))
+    v = stft(f, phi1, plan)
+    return _WeightedStft._of(a.x_grid, a.w_grid, rows=plan.rows, a=a, v=v, sign=v.sign)
 
 
 def apply_locop(

@@ -113,7 +113,8 @@ def _tile_reduce(tiles, exponents, scale=None) -> list[np.ndarray]:
     ``tiles`` is (time cube, row in cube, frequency cube, column in cube), or
     a ``_LazySymbol`` whose samples are not yet formed: each block's rows
     are then formed in the buffer of the worker that reduces it, so the
-    symbol is never held whole.  ``scale``, one value per cube, divides |x|
+    symbol is never held whole, and without their column sign, which |x|
+    does not see.  ``scale``, one value per cube, divides |x|
     first.  A view of at most ``_BLOCK`` elements is reduced in one go; a
     larger one in blocks of at most ``_BLOCK`` elements that never straddle
     a row of cubes (whole rows of cubes when they fit, else runs of rows
@@ -139,7 +140,7 @@ def _tile_reduce(tiles, exponents, scale=None) -> list[np.ndarray]:
         count, height = cubes.stop - cubes.start, min(step, tile_rows - r)
         formed = buf[: count * height]
         start = cubes.start * tile_rows + r
-        tiles.form(slice(start, start + len(formed)), formed)
+        tiles._form_unsigned(slice(start, start + len(formed)), formed)  # |-x| = |x|
         return formed.reshape(count, height, n_cols, tile_cols)
 
     def reduce_band(_, rows: slice, buf: np.ndarray) -> None:
@@ -164,7 +165,10 @@ def _block_reduce(block: np.ndarray, exponents, scale) -> list[np.ndarray]:
 
     |x| is taken once for every exponent.  p = 2 is one square, as ``**`` does
     it, and p = 4 squares the squares: ``**`` is much slower there, most of
-    all where the powers are subnormal.
+    all where the powers are subnormal.  p = 4/3 is |x| * cbrt|x|, about
+    twice as fast as ``**`` and closer to the exact power: ``**`` raises to
+    the rounded exponent, 7.4e-17 below 4/3, so its relative error grows
+    with |ln |x||, to about 1.7e-14 at |x| = 1e-100.
     """
     a = np.abs(block)
     if scale is not None:
@@ -178,6 +182,9 @@ def _block_reduce(block: np.ndarray, exponents, scale) -> list[np.ndarray]:
             if squares is None:
                 squares = np.square(a)
             x = squares if p.value == 2.0 else np.square(squares)
+        elif p.value == 4.0 / 3.0:
+            x = np.cbrt(a)
+            x *= a
         else:
             x = a**p.value
         # reduce over the rows in each cube first, along contiguous memory, then

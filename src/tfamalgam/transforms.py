@@ -196,15 +196,20 @@ class _LazySymbol(SampledSymbol):
     """A ``SampledSymbol`` that keeps what its rows are made from and forms them on demand.
 
     ``rows`` holds the sorted (start, stop) runs of the rows that may be
-    nonzero; every other row is zero.  A subclass forms the rows of a slice
-    inside one run with ``_form_rows(rows, out)``.  ``samples``, every row,
-    is formed on its first read and is read-only.  Calling the class, as
-    ``dataclasses.replace`` does, gives a plain ``SampledSymbol`` of the
-    fields it is passed; a copy or a pickle is a plain ``SampledSymbol`` of
-    the samples.
+    nonzero; every other row is zero.  A subclass fills the rows of a slice
+    inside one run with ``_fill_rows(rows, out)``, without the column sign:
+    ``sign``, when not None, is the sign (-1)^k over the N columns that every
+    row of ``samples`` carries on top of the fill.  ``samples``, every row,
+    is formed on its first read and is read-only; ``form`` gives any rows of
+    it, signed too.  A reader that does not need the sign, as |x| does not
+    and ``synthesis`` cancels it, forms rows with ``_form_unsigned``.
+    Calling the class, as ``dataclasses.replace`` does, gives a plain
+    ``SampledSymbol`` of the fields it is passed; a copy or a pickle is a
+    plain ``SampledSymbol`` of the samples.
     """
 
     rows: tuple[tuple[int, int], ...]
+    sign: np.ndarray | None = None
 
     def __new__(cls, *args, **kwargs):
         return SampledSymbol(*args, **kwargs)
@@ -234,14 +239,28 @@ class _LazySymbol(SampledSymbol):
         out.flags.writeable = False
         return out
 
+    def _form_rows(self, rows: slice, out: np.ndarray) -> None:
+        """The rows of a slice inside one run, signed: the fill times ``sign``."""
+        self._fill_rows(rows, out)
+        if self.sign is not None:
+            out *= self.sign
+
     def form(self, rows: slice, out: np.ndarray) -> None:
         """Write rows ``rows`` of ``samples`` into ``out``, the same values, without forming ``samples``."""
+        self._form_runs(rows, out, self._form_rows)
+
+    def _form_unsigned(self, rows: slice, out: np.ndarray) -> None:
+        """``form`` without the column sign: each value is that of ``samples`` times ``sign``."""
+        self._form_runs(rows, out, self._fill_rows)
+
+    def _form_runs(self, rows: slice, out: np.ndarray, fill) -> None:
+        """``fill`` the part of each run inside ``rows`` into ``out``, and zero the rest."""
         done = rows.start
         for start, stop in self.rows:
             lo, hi = max(start, done), min(stop, rows.stop)
             if lo < hi:
                 out[done - rows.start : lo - rows.start] = 0.0
-                self._form_rows(slice(lo, hi), out[lo - rows.start : hi - rows.start])
+                fill(slice(lo, hi), out[lo - rows.start : hi - rows.start])
                 done = hi
         out[done - rows.start :] = 0.0
 
@@ -251,17 +270,18 @@ class _StftSymbol(_LazySymbol):
 
     ``fs`` is the signal with the pre-sign and the scale folded in,
     ``windows`` the table of the conjugate window translated to each time
-    position, and ``sign`` the post-sign (-1)^k.  ``stft`` builds it.
+    position, and ``sign`` the post-sign (-1)^k, kept apart from the fill:
+    the cube tables take |x| of the unsigned rows, and ``synthesis``, whose
+    own pre-sign is the same (-1)^k, forms them unsigned and skips both.
+    ``stft`` builds it.
     """
 
     fs: np.ndarray
     windows: np.ndarray
-    sign: np.ndarray
 
-    def _form_rows(self, rows: slice, out: np.ndarray) -> None:
+    def _fill_rows(self, rows: slice, out: np.ndarray) -> None:
         np.multiply(self.fs, self.windows[rows], out=out)
         np.fft.fft(out, axis=-1, out=out)
-        out *= self.sign
 
 
 def _symbol_stride(F: SampledSymbol, grid: Grid1D) -> int:
@@ -328,7 +348,10 @@ def synthesis(F: SampledSymbol, g: SampledSignal) -> SampledSignal:
     slab sums in slab order, so the result does not depend on the CPU count.
     A lazy F whose samples are not formed yet is never formed whole: its
     slabs cut the runs of ``F.rows``, and each worker forms the rows of its
-    slab in its own buffer.
+    slab in its own buffer.  Each row is signed by (-1)^k before its inverse
+    FFT; a lazy F whose rows carry that sign (its ``sign``, as an STFT's do)
+    forms them unsigned and skips the pre-sign, which is exact, as s * s = 1
+    and a * (-v) = -(a * v) in floating point.
     """
     grid = g.grid
     stride = _symbol_stride(F, grid)
@@ -341,11 +364,12 @@ def synthesis(F: SampledSymbol, g: SampledSignal) -> SampledSignal:
 
     def transform(i: int, rows: slice, buf: np.ndarray) -> None:
         slab = buf[: rows.stop - rows.start]
-        if lazy:
-            F.form(rows, slab)
-            slab *= s
-        else:
+        if not lazy:
             np.multiply(F.samples[rows], s, out=slab)
+        else:
+            F._form_unsigned(rows, slab)
+            if F.sign is None:
+                slab *= s
         np.fft.ifft(slab, axis=-1, out=slab)
         slab *= windows[rows]
         slab.sum(axis=0, out=sums[i])

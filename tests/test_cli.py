@@ -5,7 +5,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from tfamalgam import cli, experiments, make_grid, norms, sample
+from tfamalgam import cli, experiments, make_grid, norms, sample, transforms
 from tfamalgam.cli import ConfigError, RunConfig, build_config, main, render_csv, run, table_from_summary
 from tfamalgam.families import SYMBOL_EVALUATORS, gaussian_family
 from tfamalgam.grid import make_signal, make_symbol, phase_space_symbol
@@ -163,6 +163,22 @@ def test_stft_and_locop_rows_are_the_values_their_checks_measured(monkeypatch, t
         values = {r["quantity"]: r["value"] for r in summary["records"]}
         assert check["status"] == "fail" and values[row] == check["measured"]
         assert check["measured"] == pytest.approx(1.5 if command == "stft" else 0.25, rel=1e-9)
+
+
+def test_stft_command_forms_each_row_of_its_transform_once(monkeypatch, tmp_path):
+    # at N = 1024 the transform is larger than one block, so its cube tables
+    # are streamed from formed rows: the p = 2 and p = inf tables its norms
+    # read share one pass, and no norm forms the rows again
+    formed = []
+    fill = transforms._StftSymbol._fill_rows
+
+    def counted(self, rows, out):
+        formed.append(rows.stop - rows.start)
+        fill(self, rows, out)
+
+    monkeypatch.setattr(transforms._StftSymbol, "_fill_rows", counted)
+    assert _run(["stft", "--grid-l", "16", "--grid-m", "64", "--out", str(tmp_path / "s")]) == 0
+    assert sum(formed) == 16 * 64
 
 
 def test_json_format(tmp_path):

@@ -23,7 +23,7 @@ from tfamalgam import (
     standard_window,
     stft,
 )
-from tfamalgam.families import chirped_gaussian, gaussian_family
+from tfamalgam.families import bump, chirp_family, chirped_gaussian, gaussian_family
 from tfamalgam.grid import as_exponent
 from tfamalgam.norms import NORM_ARITY, _cube_table
 from tfamalgam.transforms import StftPlan
@@ -180,6 +180,27 @@ def test_lp_and_amalgam_homogeneous_at_any_amplitude(k, p, q, on_symbol):
         value = norm(f, *args)
         assert math.isfinite(value) and value > 0.0
         assert value == pytest.approx(10.0**k * norm(base, *args), rel=1e-9, abs=0.0)
+
+
+_43_SIGNALS = {
+    "chirp": sample(chirp_family(bump(0.0, 1.0), 8.0), make_grid(8, 32)),
+    "gaussian": sample(gaussian_family(2.0), make_grid(8, 32)),
+    "chirped gaussian": sample(chirped_gaussian(2.0, 3.0), make_grid(8, 32)),
+}
+
+
+@pytest.mark.parametrize("amplitude", [2e115, 1e150, 1e-120])
+@pytest.mark.parametrize("name", sorted(_43_SIGNALS))
+def test_p43_norms_homogeneous_to_round_off_at_extreme_amplitudes(name, amplitude):
+    # a power of the rounded exponent 4/3 drifts by about ln|a| * 7e-17 in each
+    # root, some 4e-14 here; |x| * cbrt|x| keeps the drift at round-off
+    base = _43_SIGNALS[name]
+    scaled = _scaled(base, amplitude)
+    for norm, args in (
+        (lp_norm, ("4/3",)),
+        *((amalgam_norm, pair) for pair in PAIRS if "4/3" in pair),
+    ):
+        assert norm(scaled, *args) == pytest.approx(amplitude * norm(base, *args), rel=1e-15, abs=0.0), args
 
 
 def _kind_exponents(kind):

@@ -14,7 +14,7 @@ import pytest
 
 from tfamalgam import families, locop, norms, transforms
 from tfamalgam.families import bump, chirp_family, gaussian_family, sharpness_symbol
-from tfamalgam.grid import as_exponent, make_grid, make_signal, make_symbol, sample
+from tfamalgam.grid import as_exponent, make_grid, make_signal, make_symbol, phase_space_symbol, sample
 from tfamalgam.locop import apply_locop
 from tfamalgam.norms import _cube_table, _fill_cube_tables, standard_window
 from tfamalgam.transforms import StftPlan, _each, _nonzero_row_runs, stft, synthesis
@@ -43,6 +43,12 @@ def small_bands(monkeypatch):
 
 def _probe(grid=GRID):
     return stft(sample(chirp_family(bump(0.0, 1.0), 3.0), grid), standard_window(grid))
+
+
+def _nan_signed(v):
+    """``v`` with a column sign of NaN: a reader that applies the sign reads NaN."""
+    v.__dict__["sign"] = np.full_like(v.sign, np.nan)
+    return v
 
 
 def _fresh_tables(f, exponents):
@@ -147,6 +153,18 @@ def test_fill_keeps_memoised_tables_and_adds_the_missing_ones():
     assert all(not t.flags.writeable for t in tables)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_streamed_tables_never_apply_the_column_sign(small_bands, workers):
+    # |-x| = |x|, so the blocks are formed without the sign, and the tables
+    # are those of the dense samples, bit for bit
+    small_bands(workers)
+    v = _nan_signed(_probe())
+    tables = _fill_cube_tables(v, EXPONENTS)
+    assert not v.formed
+    for got, want in zip(tables, _fresh_tables(_probe(), EXPONENTS)):
+        assert np.all(np.isfinite(got)) and np.array_equal(got, want)
+
+
 def test_p4_by_squaring_stays_within_two_ulps_of_the_power():
     # one block, so the reference sums in the kernel's order and differs only by the power
     v = _probe(make_grid(4, 8))
@@ -155,6 +173,21 @@ def test_p4_by_squaring_stays_within_two_ulps_of_the_power():
     reference = np.add.reduce(np.add.reduce(np.abs(tiles) ** 4.0, axis=1), axis=2) ** 0.25
     table = _fresh_tables(v, [as_exponent(4)])[0]
     assert np.abs(table - reference).max() <= 4.5e-16 * np.abs(reference).max()
+    assert np.all(np.abs(table - reference) <= 4.5e-16 * reference)
+
+
+def test_p43_by_cube_root_stays_within_two_ulps_of_the_exact_power():
+    # |x| spans 1 down to 1e-137, where ** with the rounded exponent 4/3 is
+    # off by about 1e-14 relative; the reference takes the exact 4/3 power of
+    # each |x| in long double
+    grid = make_grid(4, 8)
+    v = phase_space_symbol(grid, lambda x, w: np.exp(-5.0 * np.pi * (x**2 + w**2) + 2j * np.pi * x * w))
+    tiles = v.samples.reshape(4, 8, 8, 4)
+    assert tiles.size <= norms._BLOCK
+    a = np.abs(tiles).astype(np.longdouble)
+    assert a.min() < 1e-100
+    reference = np.add.reduce(np.add.reduce(a ** (np.longdouble(4) / 3), axis=1), axis=2) ** np.longdouble(0.75)
+    table = _fresh_tables(v, [as_exponent("4/3")])[0]
     assert np.all(np.abs(table - reference) <= 4.5e-16 * reference)
 
 
@@ -271,11 +304,12 @@ def test_synthesis_holds_no_block_of_the_symbol(monkeypatch):
 @pytest.mark.parametrize(("stride", "rows"), [(1, None), (2, ((3, 21), (25, 60)))])
 def test_synthesis_of_an_unformed_stft_equals_it_of_the_dense_copy(small_bands, workers, stride, rows):
     # the lazy STFT's slabs cut the runs of its rows, as the dense copy's cut its
-    # nonzero runs: the same slabs, so the same sums, and the STFT is never formed
+    # nonzero runs: the same slabs, so the same sums, and the STFT is never
+    # formed; its post-sign is synthesis's pre-sign, so neither is applied
     small_bands(workers)
     f, g = sample(chirp_family(bump(0.0, 1.0), 3.0), GRID), standard_window(GRID)
     plan = StftPlan(GRID, stride, rows)
-    v = stft(f, g, plan)
+    v = _nan_signed(stft(f, g, plan))
     dense = stft(f, g, plan).samples
     out = synthesis(v, g).samples
     assert not v.formed
@@ -332,14 +366,16 @@ def _dense_operator(stride):
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("operator", ["separable", "dense", "dense at stride 4"])
-def test_streamed_operator_equals_synthesis_of_the_dense_weighted_stft(small_bands, workers, operator):
+def test_streamed_operator_equals_synthesis_of_the_dense_weighted_stft(monkeypatch, small_bands, workers, operator):
     # the slabs synthesis forms of a . V are the rows of the dense product a * V,
-    # bit for bit, with product blocks and slabs that end part-way
+    # bit for bit, with product blocks and slabs that end part-way; a . V
+    # carries V's sign, and synthesis applies neither it nor its pre-sign
     small_bands(workers)
     if operator == "separable":
         a, window, f = _sharpness_operator()
     else:
         a, window, f = _dense_operator(4 if operator.endswith("4") else 1)
+    monkeypatch.setattr(locop, "stft", lambda *args: _nan_signed(stft(*args)))
     out = apply_locop(a, window, window, f).samples
     v = stft(f, window, StftPlan(GRID, GRID.m // a.x_grid.m)).samples
     assert np.array_equal(out, synthesis(make_symbol(a.x_grid, a.w_grid, a.samples * v), window).samples)
@@ -405,3 +441,4 @@ def test_small_inputs_start_no_thread(monkeypatch):
     v = stft(f, window)
     assert np.abs(synthesis(v, window).samples).max() > 0.0
     assert np.abs(apply_locop(a, window, window, f).samples).max() > 0.0
+
