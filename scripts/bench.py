@@ -33,9 +33,10 @@ what the input holds, is the layer's ``layers_peak_alloc_mb``.
 
 ``--root`` measures another checkout (its ``src/`` and ``perfbench/``) with
 this script.  The record holds that checkout's git SHA, whether its tree
-differs from HEAD, the numpy version, the core count and the BLAS thread
-setting (pinned to 1 for every part).  Only the standard library and numpy
-are used.
+differs from HEAD, digests of its ``src/tfamalgam`` and of its ``tests``
+(so records of one library under two test suites can be told apart), the
+numpy version, the core count and the BLAS thread setting (pinned to 1 for
+every part).  Only the standard library and numpy are used.
 """
 
 from __future__ import annotations
@@ -298,6 +299,14 @@ def _git(root: Path, *args) -> str | None:
     return proc.stdout.strip()
 
 
+def _sha256_of(directory: Path) -> str:
+    """One digest of the names and bytes of the ``*.py`` files in ``directory``, in name order."""
+    digest = hashlib.sha256()
+    for path in sorted(directory.glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
+
+
 def environment(root: Path) -> dict:
     import numpy as np
     import tfamalgam
@@ -305,14 +314,12 @@ def environment(root: Path) -> dict:
     if Path(tfamalgam.__file__).resolve().parent != (root / "src" / "tfamalgam").resolve():
         raise RuntimeError(f"imported tfamalgam from {tfamalgam.__file__}, not from {root}")
 
-    digest = hashlib.sha256()
-    for path in sorted((root / "src" / "tfamalgam").glob("*.py")):
-        digest.update(path.name.encode() + b"\0" + path.read_bytes())
     status = _git(root, "status", "--porcelain", "--untracked-files=no")
     return {
         "git_sha": _git(root, "rev-parse", "HEAD"),
         "git_dirty": None if status is None else bool(status),
-        "src_sha256": digest.hexdigest(),
+        "src_sha256": _sha256_of(root / "src" / "tfamalgam"),
+        "tests_sha256": _sha256_of(root / "tests"),
         "python": platform.python_version(),
         "numpy": np.__version__,
         "cores": os.cpu_count(),

@@ -9,7 +9,6 @@ symbol h(x) (F^{-1} h_lam)(w).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -118,16 +117,11 @@ class _SeparableSymbol(_LazySymbol):
 
     ``sharpness_symbol`` builds it.  Its rows are formed on demand (see
     ``transforms._LazySymbol``), each as the products ``np.outer`` makes;
-    they carry no column sign.
+    they carry no column sign.  ``rows`` are the runs where h is nonzero.
     """
 
     h: np.ndarray  # the time factor, on x_grid
     freq: np.ndarray  # the frequency factor, on w_grid
-
-    @cached_property
-    def rows(self) -> tuple[tuple[int, int], ...]:
-        """The (start, stop) runs of rows where h is nonzero; every other row of ``samples`` is zero."""
-        return _nonzero_row_runs(self.h[:, None])
 
     def _fill_rows(self, rows: slice, out: np.ndarray) -> None:
         np.multiply(self.h[rows, None], self.freq, out=out)
@@ -149,10 +143,12 @@ def sharpness_symbol(profile: WindowSpec, lam: float, grid: Grid1D) -> SampledSy
             f"lam={lam} exceeds the alias-free bound "
             f"{max_alias_free_lambda(grid, radius):g} on grid (L={grid.L}, m={grid.m})"
         )
+    h = sample(profile, grid).samples
     return _SeparableSymbol._of(
         grid,
         grid.dual,
-        h=sample(profile, grid).samples,
+        rows=_nonzero_row_runs(h[:, None]),
+        h=h,
         freq=inverse_fourier(sample(chirp_family(profile, lam), grid)).samples,
     )
 

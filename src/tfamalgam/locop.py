@@ -123,14 +123,14 @@ def weak_pairing(
     """Phase-space quadrature of a * V_{phi1} f * conj(V_{phi2} g).
 
     Equals <A f, g> exactly (same sum re-associated).  Both STFTs skip the
-    rows where ``a`` vanishes.  ``v1`` is the samples of the weighted STFT
-    ``apply_locop`` synthesises, and the conjugate is taken in place, in the
-    operand order of ``a * v1 * conj(v2)``, so the pairing holds the two
-    STFTs and no other symbol-sized array.
+    rows where ``a`` vanishes.  ``v1`` is the weighted STFT ``apply_locop``
+    synthesises, and the conjugate is taken in place, in the operand order
+    of ``a * v1 * conj(v2)``, so the pairing holds the two STFTs and no
+    other symbol-sized array.  Both are formed without their column sign
+    (-1)^k: (s x) conj(s y) = x conj(y) exactly when s = +-1.
     """
     plan = _symbol_rows_plan(a, phi1, phi2)
-    v1, v2 = _weighted_stft(a, f, phi1, plan).samples, stft(g, phi2, plan).samples
-    v1.flags.writeable = v2.flags.writeable = True  # fresh arrays that nothing else holds
+    v1, v2 = _weighted_stft(a, f, phi1, plan)._form_whole(), stft(g, phi2, plan)._form_whole()
     v1 *= np.conjugate(v2, out=v2)
     return complex(a.cell * np.sum(v1))
 

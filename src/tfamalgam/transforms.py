@@ -199,13 +199,15 @@ class _LazySymbol(SampledSymbol):
     nonzero; every other row is zero.  A subclass fills the rows of a slice
     inside one run with ``_fill_rows(rows, out)``, without the column sign:
     ``sign``, when not None, is the sign (-1)^k over the N columns that every
-    row of ``samples`` carries on top of the fill.  ``samples``, every row,
-    is formed on its first read and is read-only; ``form`` gives any rows of
-    it, signed too.  A reader that does not need the sign, as |x| does not
-    and ``synthesis`` cancels it, forms rows with ``_form_unsigned``.
-    Calling the class, as ``dataclasses.replace`` does, gives a plain
-    ``SampledSymbol`` of the fields it is passed; a copy or a pickle is a
-    plain ``SampledSymbol`` of the samples.
+    row of ``samples`` carries on top of the fill.  Two formers make rows:
+    ``_form_unsigned`` writes any slice of them without the sign, as the
+    cube tables (|x| does not see it) and ``synthesis`` (which cancels it)
+    read them; ``_form_whole`` forms every row in a new array, times a sign
+    or none.  ``samples`` is its signed array, formed on the first read and
+    read-only; ``locop.weak_pairing``, whose signs cancel, takes it
+    unsigned.  Calling the class, as ``dataclasses.replace`` does, gives a
+    plain ``SampledSymbol`` of the fields it is passed; a copy or a pickle
+    is a plain ``SampledSymbol`` of the samples.
     """
 
     rows: tuple[tuple[int, int], ...]
@@ -230,37 +232,31 @@ class _LazySymbol(SampledSymbol):
 
     @cached_property
     def samples(self) -> np.ndarray:
-        out = np.zeros((self.x_grid.N, self.w_grid.N), dtype=np.complex128)
-
-        def fill(rows: slice) -> None:
-            self._form_rows(rows, out[rows])
-
-        _each_rows(fill, self.rows, self.w_grid.N)
+        out = self._form_whole(self.sign)
         out.flags.writeable = False
         return out
 
-    def _form_rows(self, rows: slice, out: np.ndarray) -> None:
-        """The rows of a slice inside one run, signed: the fill times ``sign``."""
-        self._fill_rows(rows, out)
-        if self.sign is not None:
-            out *= self.sign
+    def _form_whole(self, sign: np.ndarray | None = None) -> np.ndarray:
+        """Every row in a new array: the fill of each run times ``sign``, when not None."""
+        out = np.zeros((self.x_grid.N, self.w_grid.N), dtype=np.complex128)
 
-    def form(self, rows: slice, out: np.ndarray) -> None:
-        """Write rows ``rows`` of ``samples`` into ``out``, the same values, without forming ``samples``."""
-        self._form_runs(rows, out, self._form_rows)
+        def fill(rows: slice) -> None:
+            part = out[rows]
+            self._fill_rows(rows, part)
+            if sign is not None:
+                part *= sign
+
+        _each_rows(fill, self.rows, self.w_grid.N)
+        return out
 
     def _form_unsigned(self, rows: slice, out: np.ndarray) -> None:
-        """``form`` without the column sign: each value is that of ``samples`` times ``sign``."""
-        self._form_runs(rows, out, self._fill_rows)
-
-    def _form_runs(self, rows: slice, out: np.ndarray, fill) -> None:
-        """``fill`` the part of each run inside ``rows`` into ``out``, and zero the rest."""
+        """Write rows ``rows`` into ``out`` without the column sign: the fill inside each run, zero elsewhere."""
         done = rows.start
         for start, stop in self.rows:
             lo, hi = max(start, done), min(stop, rows.stop)
             if lo < hi:
                 out[done - rows.start : lo - rows.start] = 0.0
-                fill(slice(lo, hi), out[lo - rows.start : hi - rows.start])
+                self._fill_rows(slice(lo, hi), out[lo - rows.start : hi - rows.start])
                 done = hi
         out[done - rows.start :] = 0.0
 
@@ -348,10 +344,13 @@ def synthesis(F: SampledSymbol, g: SampledSignal) -> SampledSignal:
     slab sums in slab order, so the result does not depend on the CPU count.
     A lazy F whose samples are not formed yet is never formed whole: its
     slabs cut the runs of ``F.rows``, and each worker forms the rows of its
-    slab in its own buffer.  Each row is signed by (-1)^k before its inverse
-    FFT; a lazy F whose rows carry that sign (its ``sign``, as an STFT's do)
-    forms them unsigned and skips the pre-sign, which is exact, as s * s = 1
-    and a * (-v) = -(a * v) in floating point.
+    slab in its own buffer.  Both row sources serve a command: ``verify``
+    passes an STFT whose samples its norm has formed, whose rows would cost
+    their FFTs again if formed anew, and the scans pass unformed ones, which
+    reading ``samples`` would hold whole.  Each row is signed by (-1)^k
+    before its inverse FFT; a lazy F whose rows carry that sign (its
+    ``sign``, as an STFT's do) forms them unsigned and skips the pre-sign,
+    which is exact, as s * s = 1 and a * (-v) = -(a * v) in floating point.
     """
     grid = g.grid
     stride = _symbol_stride(F, grid)

@@ -512,6 +512,28 @@ def test_weak_pairing_is_the_sum_of_symbol_times_stft_times_conjugate(dense):
     assert want != 0.0
 
 
+@pytest.mark.parametrize("dense", [False, True])
+def test_weak_pairing_applies_no_column_sign(monkeypatch, dense):
+    # (s x) conj(s y) = x conj(y) when s = +-1, so both STFTs are formed unsigned:
+    # a NaN sign that reached either would make the pairing NaN
+    grid = make_grid(4, 64)
+    a, w1, w2, f, g = _pairing_inputs(grid)
+    if dense:
+        a = make_symbol(a.x_grid, a.w_grid, a.samples)
+    plan = locop._symbol_rows_plan(a, w1, w2)
+    v1, v2 = stft(f, w1, plan).samples, stft(g, w2, plan).samples
+    want = complex(a.cell * np.sum(a.samples * v1 * np.conj(v2)))
+
+    def nan_signed(*args):
+        v = stft(*args)
+        v.__dict__["sign"] = np.full_like(v.sign, np.nan)
+        return v
+
+    monkeypatch.setattr(locop, "stft", nan_signed)
+    assert weak_pairing(a, w1, w2, f, g) == want
+    assert want != 0.0
+
+
 def test_weak_pairing_holds_its_two_stfts_and_no_other_symbol_sized_array():
     grid = make_grid(4, 256)
     a, w1, w2, f, g = _pairing_inputs(grid)

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = ROOT / "scripts"
 
@@ -110,3 +112,57 @@ def test_bench_writes_the_peak_allocations_next_to_the_layer_times(monkeypatch, 
     layers = {k: set(v) for k, v in record["layers_s"].items()}
     assert {k: set(v) for k, v in record["layers_peak_alloc_mb"].items()} == layers
     assert "apply_locop L=4" in layers["N=64"]
+
+
+def test_bench_records_a_digest_of_the_tests_beside_that_of_the_source(tmp_path):
+    bench = _load("bench")
+    env = bench.environment(ROOT)
+    assert env["tests_sha256"] == bench._sha256_of(ROOT / "tests") != env["src_sha256"]
+    (tmp_path / "test_a.py").write_text("x = 1\n")
+    one = bench._sha256_of(tmp_path)
+    (tmp_path / "test_b.py").write_text("")
+    assert bench._sha256_of(tmp_path) != one
+
+
+def test_bitcheck_compare_names_every_entry_and_the_change_of_the_first_that_differs():
+    bitcheck = _load("bitcheck")
+    root = {
+        "table p=1": np.array([[1.0, 2.0]]),
+        "table p=4/3": np.array([4.86, 0.0]),
+        "operator": np.array([1j, 0.5]),
+        "verify stdout": "exit 0\nmeasured=4.86 in <out>\n",
+    }
+    same = {name: value.copy() if isinstance(value, np.ndarray) else value for name, value in root.items()}
+    lines, code = bitcheck.compare(root, same)
+    assert code == 0
+    assert lines == [f"identical  {name}" for name in root] + ["4 identical, 0 differ"]
+
+    moved = np.nextafter(4.86, np.inf)
+    change = {
+        **same,
+        "table p=4/3": np.array([moved, 0.0]),
+        "operator": np.array([1j, 0.5], dtype=np.complex64),  # same values, other bytes
+        "verify stdout": "exit 0\nmeasured=4.87 in <out>\n",
+        "new entry": "",
+    }
+    lines, code = bitcheck.compare(root, change)
+    assert code == 1
+    assert lines == [
+        "identical  table p=1",
+        "differs    table p=4/3",
+        f"    max relative change {(moved - 4.86) / moved:.3g}",
+        "differs    operator",
+        "differs    verify stdout",
+        "differs    new entry",
+        "1 identical, 4 differ",
+    ]
+    assert bitcheck.relative_change("exit 0\nvalue 4.86\n", "exit 0\nvalue 4.87\n") == (
+        f"max relative change {0.01 / 4.87:.3g}"
+    )
+    assert bitcheck.relative_change("a 1\n", "b 1\n") == "the text differs outside its numbers"
+
+
+def test_bitcheck_exits_2_on_a_root_without_the_library(tmp_path, capsys):
+    bitcheck = _load("bitcheck")
+    assert bitcheck.main(["--root", str(tmp_path)]) == 2
+    assert "no src/tfamalgam" in capsys.readouterr().err
