@@ -48,7 +48,7 @@ from .experiments import (
 )
 from .families import (
     SYMBOL_EVALUATORS,
-    bump,
+    UNIT_BUMP,
     chirp_family,
     gaussian_family,
     indicator,
@@ -70,8 +70,8 @@ class ConfigError(ValueError):
 # family: (the window spec of the member with parameter lam, whether it reads lam)
 _FAMILIES = {
     "gaussian": (lambda lam: gaussian_family(lam), True),
-    "chirp": (lambda lam: chirp_family(bump(0.0, 1.0), lam), True),
-    "bump": (lambda lam: bump(0.0, 1.0), False),
+    "chirp": (lambda lam: chirp_family(UNIT_BUMP, lam), True),
+    "bump": (lambda lam: UNIT_BUMP, False),
     "indicator": (lambda lam: indicator(0.0, 1.0), False),
 }
 
@@ -81,7 +81,7 @@ _SYMBOLS = {
         name: (lambda lam, grid, name=name: phase_space_symbol(grid, SYMBOL_EVALUATORS[name]), False)
         for name in SYMBOL_EVALUATORS
     },
-    "sharpness": (lambda lam, grid: sharpness_symbol(bump(0.0, 1.0), lam, grid), True),
+    "sharpness": (lambda lam, grid: sharpness_symbol(UNIT_BUMP, lam, grid), True),
 }
 
 # output format: the text of the primary table, from its columns and records

@@ -19,6 +19,7 @@ import numpy as np
 
 from .families import (
     SYMBOL_EVALUATORS,
+    UNIT_BUMP,
     bump,
     chirp_family,
     gaussian_family,
@@ -58,7 +59,7 @@ _REGION_TOL = 1e-12
 WINDOWS = {
     "gaussian": lambda grid: standard_window(grid),
     "gaussian-unit": lambda grid: unit_standard_window(grid),
-    "bump": lambda grid: sample(bump(0.0, 1.0), grid),
+    "bump": lambda grid: sample(UNIT_BUMP, grid),
 }
 
 INVERSE_LATTICE = (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -299,7 +300,6 @@ def scan_stft(points, settings: StftScanSettings | None = None) -> list[RegionVe
     vals_b = np.full((len(pts), len(lams_b)), np.nan)
     window_a = standard_window(settings.smooth_grid)
     window_b = standard_window(settings.chirp_grid)
-    profile = bump(0.0, 1.0)
 
     for li, lam in enumerate(lams_a):
         phil = sample(gaussian_family(lam), settings.smooth_grid)
@@ -311,7 +311,7 @@ def scan_stft(points, settings: StftScanSettings | None = None) -> list[RegionVe
 
     if any(runs_b):
         for li, lam in enumerate(lams_b):
-            h_lam = sample(chirp_family(profile, lam), settings.chirp_grid)
+            h_lam = sample(chirp_family(UNIT_BUMP, lam), settings.chirp_grid)
             v = stft(h_lam, window_b)
             _fill_cube_tables(v, [q for (_, q), run in zip(pts, runs_b) if run])
             for pi, (p, q) in enumerate(pts):
@@ -362,14 +362,13 @@ def scan_locop(points, settings: LocopScanSettings | None = None) -> list[Region
     # (real windows), so exponents below 2 are probed at the conjugate
     r_effs = [r if r.reciprocal <= 0.5 + _REGION_TOL else r.conjugate for _, r in pts]
     lams = _guarded(settings.lambdas, grid)
-    profile = bump(0.0, 1.0)  # also the cutoff chi of the operator output
     window = WINDOWS[settings.window](grid)
-    h = sample(profile, grid)
+    h = sample(UNIT_BUMP, grid)  # also the cutoff chi of the operator output
     values = np.empty((len(pts), len(lams)))
     for li, lam in enumerate(lams):
-        h_lam = sample(chirp_family(profile, lam), grid)
+        h_lam = sample(chirp_family(UNIT_BUMP, lam), grid)
         f = make_signal(grid, np.conj(h_lam.samples))
-        out = apply_locop(sharpness_symbol(profile, lam, grid), window, window, f)
+        out = apply_locop(sharpness_symbol(UNIT_BUMP, lam, grid), window, window, f)
         chi_af = make_signal(grid, h.samples * out.samples)
         w = inverse_fourier(h_lam)
         for pi, ((q, _), r_eff) in enumerate(zip(pts, r_effs)):
@@ -433,9 +432,9 @@ def _suite_cases(grid: Grid1D):
     ones, gauss, cube = (
         phase_space_symbol(grid, SYMBOL_EVALUATORS[name]) for name in ("unit", "gaussian", "cube")
     )
-    bump_window = sample(bump(0.0, 1.0), grid)
+    bump_window = sample(UNIT_BUMP, grid)
     lam_small = min(4.0, max_alias_free_lambda(grid, 1.0))
-    sharp = sharpness_symbol(bump(0.0, 1.0), lam_small, grid)
+    sharp = sharpness_symbol(UNIT_BUMP, lam_small, grid)
     return [
         ("gaussian-symbol", gauss, phi, phi),
         ("unit-symbol", ones, phi_unit, phi_unit),

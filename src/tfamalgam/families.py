@@ -86,6 +86,9 @@ def bump(center: float = 0.0, radius: float = 1.0) -> WindowSpec:
     )
 
 
+UNIT_BUMP = bump(0.0, 1.0)  #: e^{1 - 1/(1-u^2)} on (-1, 1), zero outside: the profile the commands share
+
+
 def indicator(left: float, right: float) -> WindowSpec:
     """Sharp cutoff of the half-open interval [left, right)."""
     if not right > left:

@@ -33,7 +33,8 @@ from .norms import lp_norm
 from .transforms import (
     StftPlan,
     _LazySymbol,
-    _nonzero_row_runs,
+    _forms_rows,
+    _row_runs,
     _symbol_stride,
     _translates,
     dft_centered,
@@ -54,13 +55,8 @@ def _check_operator_shapes(a: SampledSymbol, phi1: SampledSignal, phi2: SampledS
 
 
 def _symbol_rows_plan(a: SampledSymbol, phi1: SampledSignal, phi2: SampledSignal) -> StftPlan:
-    """The operator's STFT layout, restricted to the rows where the symbol can be nonzero.
-
-    A separable symbol gives the rows of its time factor, so its samples are
-    not read.
-    """
-    rows = a.rows if isinstance(a, families._SeparableSymbol) else _nonzero_row_runs(a.samples)
-    return replace(_check_operator_shapes(a, phi1, phi2), rows=rows)
+    """The operator's STFT layout, restricted to the rows where the symbol can be nonzero (``_row_runs``)."""
+    return replace(_check_operator_shapes(a, phi1, phi2), rows=_row_runs(a))
 
 
 class _WeightedStft(_LazySymbol):
@@ -70,9 +66,8 @@ class _WeightedStft(_LazySymbol):
     zero.  Each row is filled from the unsigned row of ``v``, and ``sign`` is
     ``v``'s: a * (-x) = -(a * x), so the signed rows are those of a * v.  The
     product keeps the operand order of ``a * v`` (``v *= a`` rounds
-    differently in the complex product).  A separable ``a`` forms
-    ``families._PRODUCT_ELEMENTS`` samples of h(x) freq(w) at a time, so its
-    samples are never formed.
+    differently in the complex product).  An ``a`` whose rows are formed
+    (``_forms_rows``) forms ``families._PRODUCT_ELEMENTS`` samples at a time.
     """
 
     a: SampledSymbol
@@ -80,15 +75,18 @@ class _WeightedStft(_LazySymbol):
 
     def _fill_rows(self, rows: slice, out: np.ndarray) -> None:
         self.v._fill_rows(rows, out)
-        if not isinstance(self.a, families._SeparableSymbol):
+        if not _forms_rows(self.a):
             np.multiply(self.a.samples[rows], out, out=out)
             return
         step = max(1, families._PRODUCT_ELEMENTS // out.shape[1])
         product = np.empty_like(out[:step])
         for lo in range(0, len(out), step):
             hi = min(lo + step, len(out))
-            self.a._fill_rows(slice(rows.start + lo, rows.start + hi), product[: hi - lo])
-            np.multiply(product[: hi - lo], out[lo:hi], out=out[lo:hi])
+            part = product[: hi - lo]
+            self.a._fill_rows(slice(rows.start + lo, rows.start + hi), part)
+            if self.a.sign is not None:
+                part *= self.a.sign
+            np.multiply(part, out[lo:hi], out=out[lo:hi])
 
 
 def _weighted_stft(a: SampledSymbol, f: SampledSignal, phi1: SampledSignal, plan: StftPlan) -> _WeightedStft:

@@ -22,8 +22,8 @@ from .grid import (
     as_exponent,
     make_signal,
 )
-from .families import bump
-from .transforms import _LazySymbol, _chunks, _each_slab, _task_rows, fourier, idft_centered, inverse_fourier, stft
+from .families import UNIT_BUMP
+from .transforms import _LazySymbol, _chunks, _each_slab, _forms_rows, _task_rows, fourier, idft_centered, inverse_fourier, stft
 
 #: norm kind -> the norm of f at the kind's exponents; each entry looks its
 #: function up when called, so a wrapper installed on the module later is used
@@ -110,19 +110,18 @@ def _roots(tiles: np.ndarray, exponents) -> list[np.ndarray]:
 def _tile_reduce(tiles, exponents, scale=None) -> list[np.ndarray]:
     """Per cube of a 4-D cube view, the sum of |x|^p for each p (the max of |x| for p = inf).
 
-    ``tiles`` is (time cube, row in cube, frequency cube, column in cube), or
-    a ``_LazySymbol`` whose samples are not yet formed: each block's rows
-    are then formed in the buffer of the worker that reduces it, so the
-    symbol is never held whole, and without their column sign, which |x|
-    does not see.  ``scale``, one value per cube, divides |x|
-    first.  A view of at most ``_BLOCK`` elements is reduced in one go; a
-    larger one in blocks of at most ``_BLOCK`` elements that never straddle
-    a row of cubes (whole rows of cubes when they fit, else runs of rows
-    within one), so the temporaries stay in cache.  Slices of rows of cubes,
-    as ``_chunks`` cuts them for rows of ``tile_rows * row`` samples, are the
-    pool tasks, so a view no larger than one task is reduced inline.  Each
-    cube is summed the same way whatever the slices and whether its rows are
-    formed or read, so the sums do not depend on the CPU count.
+    ``tiles`` is (time cube, row in cube, frequency cube, column in cube),
+    or a symbol whose rows each block forms in the buffer of the worker that
+    reduces it (``_cubes``), without their column sign, which |x| does not
+    see.  ``scale``, one value per cube, divides |x| first.  A view of at
+    most ``_BLOCK`` elements is reduced in one go; a larger one in blocks of
+    at most ``_BLOCK`` elements that never straddle a row of cubes (whole
+    rows of cubes when they fit, else runs of rows within one), so the
+    temporaries stay in cache.  Slices of rows of cubes, as ``_chunks`` cuts
+    them for rows of ``tile_rows * row`` samples, are the pool tasks, so a
+    view no larger than one task is reduced inline.  Each cube is summed the
+    same way whatever the slices and whether its rows are formed or read, so
+    the sums do not depend on the CPU count.
     """
     lazy = isinstance(tiles, _LazySymbol)
     if not lazy and tiles.size <= _BLOCK:
@@ -218,15 +217,13 @@ def _cube_shape(a: SampledSymbol) -> tuple[int, int, int, int]:
 def _cubes(f):
     """Cube view of a sampled object: (L, 1, 1, m) for a signal, (Lx, mx, Lw, mw) for a symbol.
 
-    A ``_LazySymbol`` of more than one ``_BLOCK`` whose samples are not yet
-    formed is returned itself, for ``_tile_reduce`` to form its rows a block
-    at a time.  One of at most one block is formed whole: that is its one
-    block, and a later read of its samples then finds them formed.
+    A symbol whose rows are formed rather than read (``_forms_rows``) is
+    returned itself, for ``_tile_reduce`` to form its rows a block at a time.
     """
     if isinstance(f, SampledSignal):
         g = f.grid
         return f.samples.reshape(g.L, 1, 1, g.m)
-    if isinstance(f, _LazySymbol) and not f.formed and f.x_grid.N * f.w_grid.N > _BLOCK:
+    if _forms_rows(f):
         return f
     if isinstance(f, SampledSymbol):
         return f.samples.reshape(_cube_shape(f))
@@ -246,16 +243,14 @@ def _fill_cube_tables(f, exponents) -> list[np.ndarray]:
     """Unweighted local L^p norm (sum |f|^p)^(1/p) of each unit cube, for each p; max |f| for p = inf.
 
     The exponents not yet in the memo share one blocked pass (``_roots``); only
-    one whose sums leave the float range takes two more passes to rescale.
-    On a ``_LazySymbol`` with its samples not yet formed, such as an ``stft``
-    result, each pass forms the rows block by block (``_tile_reduce``), and
-    the samples stay unformed.  The tables are memoised per exponent on the
-    instance, read-only, when no writable array shares the samples' memory:
-    every ``make_signal`` or ``make_symbol`` result made from a fresh array,
-    and every lazy symbol until a caller makes its formed samples writable.
-    So norms that share a local exponent share the pass, a caller that knows
-    every exponent it will ask for can fill their tables in one pass, and a
-    memo hit forms no sample.
+    one whose sums leave the float range takes two more passes to rescale.  A
+    symbol whose rows are formed (``_cubes``) stays unformed.  The tables are
+    memoised per exponent on the instance, read-only, when no writable array
+    shares the samples' memory: every ``make_signal`` or ``make_symbol`` result
+    made from a fresh array, and every lazy symbol until a caller makes its
+    formed samples writable.  So norms that share a local exponent share the
+    pass, a caller that knows every exponent it will ask for can fill their
+    tables in one pass, and a memo hit forms no sample.
     """
     tiles = _cubes(f)
     # unformed lazy samples will be a fresh read-only array: nothing can write them
@@ -336,9 +331,6 @@ def modulation_norm(f: SampledSignal, p, q) -> float:
     return mixed_lpq(stft(f, standard_window(f.grid)), p, q)
 
 
-_unit_bump = bump(0.0, 1.0).evaluator  # e^{1 - 1/(1-u^2)} on (-1, 1), zero outside
-
-
 def partition_window(omega, k: int = 0) -> np.ndarray:
     """Translate by k of the bump-based partition of unity on the frequency axis.
 
@@ -348,8 +340,8 @@ def partition_window(omega, k: int = 0) -> np.ndarray:
     base = np.floor(omega)
     denom = np.zeros_like(omega)
     for off in (-1.0, 0.0, 1.0):
-        denom += _unit_bump(omega - (base + off))
-    return _unit_bump(omega) / denom
+        denom += UNIT_BUMP.evaluator(omega - (base + off))
+    return UNIT_BUMP.evaluator(omega) / denom
 
 
 def modulation_norm_triebel(f: SampledSignal, p, q) -> float:

@@ -199,13 +199,11 @@ class _LazySymbol(SampledSymbol):
     nonzero; every other row is zero.  A subclass fills the rows of a slice
     inside one run with ``_fill_rows(rows, out)``, without the column sign:
     ``sign``, when not None, is the sign (-1)^k over the N columns that every
-    row of ``samples`` carries on top of the fill.  Two formers make rows:
-    ``_form_unsigned`` writes any slice of them without the sign, as the
-    cube tables (|x| does not see it) and ``synthesis`` (which cancels it)
-    read them; ``_form_whole`` forms every row in a new array, times a sign
-    or none.  ``samples`` is its signed array, formed on the first read and
-    read-only; ``locop.weak_pairing``, whose signs cancel, takes it
-    unsigned.  Calling the class, as ``dataclasses.replace`` does, gives a
+    row of ``samples`` carries on top of the fill.  ``_form_unsigned``
+    writes any slice of the rows without the sign, for the row readers
+    (``_forms_rows``); ``_form_whole`` forms every row in a new array, times
+    a sign or none: signed, it is ``samples``, formed on the first read and
+    read-only.  Calling the class, as ``dataclasses.replace`` does, gives a
     plain ``SampledSymbol`` of the fields it is passed; a copy or a pickle
     is a plain ``SampledSymbol`` of the samples.
     """
@@ -280,6 +278,22 @@ class _StftSymbol(_LazySymbol):
         np.fft.fft(out, axis=-1, out=out)
 
 
+def _forms_rows(F: SampledSymbol) -> bool:
+    """Whether the row readers (cube tables, ``synthesis``, the operators) form the rows of ``F``.
+
+    A ``_LazySymbol`` whose samples are not formed is read by forming its
+    rows over its ``rows``, so it is never held whole.  Any other symbol,
+    a lazy one whose samples have been read included, is read from its
+    samples over its ``_nonzero_row_runs``: its rows are already paid for.
+    """
+    return isinstance(F, _LazySymbol) and not F.formed
+
+
+def _row_runs(F: SampledSymbol) -> tuple[tuple[int, int], ...]:
+    """The runs of the rows of ``F`` that may be nonzero, as its readers take them (``_forms_rows``)."""
+    return F.rows if _forms_rows(F) else _nonzero_row_runs(F.samples)
+
+
 def _symbol_stride(F: SampledSymbol, grid: Grid1D) -> int:
     """Check that ``F`` lives on a time sublattice of ``grid``'s phase space; return the time stride."""
     if F.w_grid != grid.dual:
@@ -307,8 +321,7 @@ def stft(f: SampledSignal, g: SampledSignal, plan: StftPlan | None = None) -> Sa
     circular windowing; this matches the direct quadrature sum exactly.  Only
     the rows in ``plan.rows`` are transformed; every other row is exact zero.
     The rows are formed on demand: all of them on the first read of
-    ``samples``, or a block at a time by the norms' cube tables and a slab at
-    a time by ``synthesis``, which then never hold the whole transform.
+    ``samples``, or a slice at a time by the row readers (``_forms_rows``).
     Rows are independent, and each task of ``_each`` transforms a slice of
     them, so the result does not depend on the CPU count.
     """
@@ -338,25 +351,20 @@ def synthesis(F: SampledSymbol, g: SampledSignal) -> SampledSignal:
     """Adjoint-side phase-space sum: out = sum_{j,k} F(x_j,w_k) M_{w_k} T_{x_j} g * cell.
 
     The quadrature cell is (x-step) * (frequency step); with F = stft(f, g) at
-    full stride this inverts the STFT up to the factor ||g||_2^2.  All-zero
-    rows of F add nothing and are skipped; the others are summed in slabs of
-    ``_task_rows(N)`` rows, each in row order on a task of ``_each``, and the
-    slab sums in slab order, so the result does not depend on the CPU count.
-    A lazy F whose samples are not formed yet is never formed whole: its
-    slabs cut the runs of ``F.rows``, and each worker forms the rows of its
-    slab in its own buffer.  Both row sources serve a command: ``verify``
-    passes an STFT whose samples its norm has formed, whose rows would cost
-    their FFTs again if formed anew, and the scans pass unformed ones, which
-    reading ``samples`` would hold whole.  Each row is signed by (-1)^k
-    before its inverse FFT; a lazy F whose rows carry that sign (its
-    ``sign``, as an STFT's do) forms them unsigned and skips the pre-sign,
-    which is exact, as s * s = 1 and a * (-v) = -(a * v) in floating point.
+    full stride this inverts the STFT up to the factor ||g||_2^2.  Only the
+    runs of ``_row_runs(F)`` are summed, in slabs of ``_task_rows(N)`` rows,
+    each in row order on a task of ``_each``, and the slab sums in slab
+    order, so the result does not depend on the CPU count.  Each worker forms
+    the rows of its slab in its own buffer, or reads them (``_forms_rows``).
+    Each row is signed by (-1)^k before its inverse FFT; a lazy F whose rows
+    carry that sign (its ``sign``, as an STFT's do) forms them unsigned and
+    skips the pre-sign, which is exact, as s * s = 1 and a * (-v) = -(a * v).
     """
     grid = g.grid
     stride = _symbol_stride(F, grid)
     n = grid.N
-    lazy = isinstance(F, _LazySymbol) and not F.formed
-    slabs = list(_chunks(F.rows if lazy else _nonzero_row_runs(F.samples), _task_rows(n)))
+    lazy = _forms_rows(F)
+    slabs = list(_chunks(_row_runs(F), _task_rows(n)))
     windows = _translates(g.samples)[n + n // 2 :: -stride][: F.x_grid.N]
     s = _alternating(n)
     sums = np.empty((len(slabs), n), dtype=np.complex128)

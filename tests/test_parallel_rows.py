@@ -318,6 +318,20 @@ def test_synthesis_of_an_unformed_stft_equals_it_of_the_dense_copy(small_bands, 
 
 
 @pytest.mark.parametrize("workers", [1, 2])
+def test_synthesis_of_an_unformed_sharpness_symbol_equals_it_of_the_dense_copy(small_bands, workers):
+    # a sharpness symbol's rows carry no column sign, so synthesis applies its
+    # own pre-sign to the rows it forms
+    small_bands(workers)
+    a = sharpness_symbol(bump(0.0, 1.0), 3.0, GRID)
+    dense = sharpness_symbol(bump(0.0, 1.0), 3.0, GRID).samples
+    g = sample(bump(0.0, 1.0), GRID)
+    out = synthesis(a, g).samples
+    assert not a.formed
+    assert np.array_equal(out, synthesis(make_symbol(a.x_grid, a.w_grid, dense), g).samples)
+    assert np.abs(out).max() > 0.0
+
+
+@pytest.mark.parametrize("workers", [1, 2])
 def test_synthesis_of_a_lazy_symbol_sums_a_zero_row_inside_its_runs(small_bands, workers):
     # row 9 of the weighted STFT is zero inside its one run: its slab holds the
     # zero row where the dense copy's slabs split at it, so the sums regroup
@@ -402,6 +416,35 @@ def test_apply_locop_on_the_factors_equals_it_on_the_samples(small_bands, worker
     dense = apply_locop(make_symbol(a.x_grid, a.w_grid, a.samples), window, window, f).samples
     assert np.array_equal(factored, dense)
     assert np.abs(factored).max() > 0.0
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_apply_locop_on_an_unformed_stft_symbol_equals_it_on_the_samples(small_bands, workers):
+    # the symbol's rows are formed unsigned, so the operator signs them itself;
+    # a Gaussian window leaves no row of it zero, so both take the same runs
+    small_bands(workers)
+    _, window, f = _sharpness_operator()
+    probe, gauss = sample(chirp_family(bump(0.0, 1.0), 2.0), GRID), standard_window(GRID)
+    b = stft(probe, gauss)
+    formed = apply_locop(make_symbol(b.x_grid, b.w_grid, stft(probe, gauss).samples), window, window, f).samples
+    out = apply_locop(b, window, window, f).samples
+    assert not b.formed
+    assert np.array_equal(out, formed)
+    assert np.abs(out).max() > 0.0
+
+
+@pytest.mark.parametrize("symbol", ["sharpness", "stft"])
+def test_apply_locop_reads_the_samples_of_a_formed_lazy_symbol(small_bands, symbol):
+    # its rows are paid for: forming them again would repeat the products or FFTs
+    small_bands(2)
+    a, window, f = _sharpness_operator()
+    if symbol == "stft":
+        a = stft(sample(chirp_family(bump(0.0, 1.0), 2.0), GRID), standard_window(GRID))
+    want = apply_locop(make_symbol(a.x_grid, a.w_grid, a.samples), window, window, f).samples
+    fills = []
+    a.__dict__["_fill_rows"] = lambda rows, out: fills.append(rows)
+    assert np.array_equal(apply_locop(a, window, window, f).samples, want)
+    assert fills == []
 
 
 @pytest.mark.parametrize("grid", [make_grid(4, 32), make_grid(8, 16)])

@@ -129,19 +129,28 @@ def test_streamed_tables_hold_no_block_of_the_symbol(monkeypatch):
     assert peak < 0.1 * grid.N**2 * 16
 
 
-def test_a_symbol_of_one_block_is_formed_whole():
-    # streaming it would save at most one block, and a later read of its
-    # samples, as synthesis makes, would form it again
+def test_a_symbol_of_one_block_is_streamed():
     grid = make_grid(16, 16)  # N = 256: 2^16 samples, one block
     v = stft(_signal(grid), standard_window(grid))
-    tables = _fill_cube_tables(v, EXPONENTS)
-    assert v.formed
-    for got, want in zip(tables, _dense_tables(v)):
+    streamed, dense = _streamed_then_dense(v)
+    for got, want in zip(streamed, dense):
         assert np.array_equal(got, want)
 
 
+def test_norms_of_a_formed_stft_read_its_samples(monkeypatch):
+    # its rows are paid for: forming them again would repeat their FFTs
+    grid = make_grid(8, 64)  # N = 512: more than one block
+    v = stft(_signal(grid), standard_window(grid))
+    dense = SampledSymbol(v.x_grid, v.w_grid, np.array(v.samples))
+    fills = []
+    monkeypatch.setattr(transforms._StftSymbol, "_fill_rows", lambda self, rows, out: fills.append(rows))
+    values = [(amalgam_norm(v, p, "2"), lp_norm(v, p)) for p in EXPONENTS]
+    assert fills == []
+    assert values == [(amalgam_norm(dense, p, "2"), lp_norm(dense, p)) for p in EXPONENTS]
+
+
 def test_norms_read_no_sample_on_a_memo_hit():
-    grid = make_grid(8, 64)  # N = 512: more than one block, so its tables stream
+    grid = make_grid(8, 64)  # N = 512: tables streamed over several blocks
     v = stft(_signal(grid), standard_window(grid))
     _fill_cube_tables(v, EXPONENTS)
     values = [(amalgam_norm(v, p, "2"), lp_norm(v, p)) for p in EXPONENTS]
