@@ -23,7 +23,12 @@ is timed with the read of its samples, which it forms on that read; the
 inputs of ``synthesis`` and the norms are formed outside the timer.
 ``stft tables`` times ``stft`` followed by the cube tables of the five
 lattice exponents, as ``scan_stft`` asks for them: the smooth probe at
-N = 2048 and the chirp probe at N = 4096, on the scan's grids.  Each layer
+N = 2048 and the chirp probe at N = 4096, on the scan's grids.  At N = 512
+and 1024, the calls that take most of the ``point-queries`` workload are
+timed on its (16, N/16) grids, each layer name ending in ``L=16``:
+``stft`` with the read of its samples, ``mixed_lpq`` of an unformed STFT,
+whose rows the reduction forms, ``symbol_mixed_norm``, ``apply_locop`` of
+a sharpness symbol and ``modulation_norm_triebel``.  Each layer
 is called 5 times, each on a fresh frozen input, so the cube-table memo of
 the norms cannot hide their cost; the record holds the best time and,
 next to it, the spread (slowest minus fastest), which bounds the noise
@@ -61,6 +66,7 @@ REPEATS = 5  # timed calls per layer
 LAYER_SIZES = (2048, 4096)
 KERNEL_SIZES = (512, 1024)
 LOCOP_SIZE = 2048  # the N of the region-locop scans
+POINT_QUERY_SIZES = (512, 1024)  # the largest phase-space N of the point-queries calls
 
 
 def _timings(call, make_input, repeats: int) -> list[float]:
@@ -260,6 +266,58 @@ def stft_table_timings(repeats: int = REPEATS, peaks=None) -> dict:
     return out
 
 
+def point_query_timings(sizes=POINT_QUERY_SIZES, repeats: int = REPEATS, peaks=None) -> dict:
+    """Seconds of the calls that take most of ``point-queries``, keyed by ``N=<size>`` then layer name.
+
+    Each runs on the (16, N/16) grid of that workload, with its standard
+    window.  ``mixed_lpq`` takes an STFT whose samples are not formed, as
+    ``modulation_norm`` makes it, and ``apply_locop`` a sharpness symbol of
+    the largest alias-free rate up to 16.  A ``peaks`` dict receives the
+    tracemalloc peaks (MiB) under the same keys.
+    """
+    from tfamalgam import (
+        apply_locop,
+        bump,
+        chirped_gaussian,
+        gaussian_stft_symbol,
+        make_grid,
+        make_signal,
+        max_alias_free_lambda,
+        mixed_lpq,
+        modulation_norm_triebel,
+        sample,
+        sharpness_symbol,
+        standard_window,
+        stft,
+        symbol_mixed_norm,
+    )
+
+    out = {}
+    for n in sizes:
+        grid = make_grid(16, n // 16)
+        window = standard_window(grid)
+        f = sample(chirped_gaussian(2.0, 3.0), grid)
+        lam = min(16.0, max_alias_free_lambda(grid, 1.0))
+
+        def signal():
+            return make_signal(grid, f.samples.copy())
+
+        layers = {
+            "stft L=16": (lambda x: stft(x, window).samples, signal),
+            "mixed_lpq L=16": (lambda v: mixed_lpq(v, "4/3", 2), lambda: stft(signal(), window)),
+            "symbol_mixed_norm L=16": (
+                lambda a: symbol_mixed_norm(a, 2, 1, "4/3", 4), lambda: gaussian_stft_symbol(2.0, grid)
+            ),
+            "apply_locop L=16": (
+                lambda a: apply_locop(a, window, window, f), lambda: sharpness_symbol(bump(0.0, 1.0), lam, grid)
+            ),
+            "modulation_norm_triebel L=16": (lambda x: modulation_norm_triebel(x, 2, 1), signal),
+        }
+        key = f"N={n}"
+        out[key] = _time_each(layers, repeats, None if peaks is None else peaks.setdefault(key, {}))
+    return out
+
+
 def run_workloads(root: Path, workloads, seeds, seconds: float) -> dict:
     """Untraced perfbench runs, one subprocess per workload and seed."""
     out = {}
@@ -351,6 +409,8 @@ def main(argv=None) -> int:
     timings[f"N={LOCOP_SIZE}"].update(region_locop_timings(peaks=peaks[f"N={LOCOP_SIZE}"]))
     for size, layers in stft_table_timings(peaks=peaks).items():
         timings[size].update(layers)
+    for size, layers in point_query_timings(peaks=peaks).items():
+        timings.setdefault(size, {}).update(layers)
     record["layers_s"] = _summary(timings, min)
     record["layers_spread_s"] = _summary(timings, lambda secs: max(secs) - min(secs))
     record["layers_peak_alloc_mb"] = peaks

@@ -23,7 +23,7 @@ from .grid import (
     make_signal,
 )
 from .families import UNIT_BUMP
-from .transforms import _LazySymbol, _chunks, _each_slab, _forms_rows, _task_rows, fourier, idft_centered, inverse_fourier, stft
+from .transforms import _LazySymbol, _each_slab, _forms_rows, fourier, idft_centered, inverse_fourier, stft
 
 #: norm kind -> the norm of f at the kind's exponents; each entry looks its
 #: function up when called, so a wrapper installed on the module later is used
@@ -110,56 +110,70 @@ def _roots(tiles: np.ndarray, exponents) -> list[np.ndarray]:
 def _tile_reduce(tiles, exponents, scale=None) -> list[np.ndarray]:
     """Per cube of a 4-D cube view, the sum of |x|^p for each p (the max of |x| for p = inf).
 
-    ``tiles`` is (time cube, row in cube, frequency cube, column in cube),
-    or a symbol whose rows each block forms in the buffer of the worker that
-    reduces it (``_cubes``), without their column sign, which |x| does not
-    see.  ``scale``, one value per cube, divides |x| first.  A view of at
-    most ``_BLOCK`` elements is reduced in one go; a larger one in blocks of
-    at most ``_BLOCK`` elements that never straddle a row of cubes (whole
-    rows of cubes when they fit, else runs of rows within one), so the
-    temporaries stay in cache.  Slices of rows of cubes, as ``_chunks`` cuts
-    them for rows of ``tile_rows * row`` samples, are the pool tasks, so a
-    view no larger than one task is reduced inline.  Each cube is summed the
-    same way whatever the slices and whether its rows are formed or read, so
-    the sums do not depend on the CPU count.
+    ``tiles`` is (time cube, row in cube, frequency cube, column in cube):
+    an array, or the ``_FormedCubes`` of a symbol whose rows each block
+    forms in the buffer of the worker that reduces it, without their column
+    sign, which |x| does not see.  ``scale``, one value per cube, divides |x|
+    first.  An array of at most ``_BLOCK`` elements is reduced in one go; a
+    larger view in blocks of at most ``_BLOCK`` elements that never straddle
+    a row of cubes (whole rows of cubes when they fit, else runs of rows
+    within one), so the temporaries stay in cache.  The bands of rows of
+    cubes are the tasks of ``_each_slab``, each adding the sums of its
+    blocks in order; a lone band is split instead, each block a task, and
+    the sums of its blocks are added in block order once all are done.  So
+    each cube is summed the same way whatever the CPU count and whether its
+    rows are formed or read.
     """
-    lazy = isinstance(tiles, _LazySymbol)
+    lazy = isinstance(tiles, _FormedCubes)
     if not lazy and tiles.size <= _BLOCK:
         return _block_reduce(tiles, exponents, scale)
-    n_rows, tile_rows, n_cols, tile_cols = _cube_shape(tiles) if lazy else tiles.shape
+    n_rows, tile_rows, n_cols, tile_cols = tiles.shape
     row = n_cols * tile_cols
     band = max(1, _BLOCK // (tile_rows * row))  # rows of cubes per block
     step = min(tile_rows, max(1, _BLOCK // row))  # rows per block within a row of cubes
-    tables = [np.empty((n_rows, n_cols)) for _ in exponents]
+    bands = [slice(i, min(i + band, n_rows)) for i in range(0, n_rows, band)]
+    steps = range(0, tile_rows, step)
+    # one band (one row of cubes, as in mixed_lpq): every block is a task, and
+    # its sums are kept apart and added in block order at the end; else every
+    # band is a task, which adds the sums of its blocks in order as it goes:
+    # the scans' tables are wide and have many blocks per band (8 x 512 cubes
+    # and 32 blocks at N = 4096), so kept-apart sums would add 1 MiB per exponent
+    split = len(bands) == 1
+    tasks = [(bands[0], range(r, r + 1)) for r in steps] if split else [(cubes, steps) for cubes in bands]
+    parts = [np.empty((len(steps) if split else 1, n_rows, n_cols)) for _ in exponents]
 
-    def block(cubes: slice, r: int, buf: np.ndarray) -> np.ndarray:
-        if not lazy:
-            return tiles[cubes, r : r + step]
-        # a block is one run of sample rows: band > 1 only where step is tile_rows
-        count, height = cubes.stop - cubes.start, min(step, tile_rows - r)
-        formed = buf[: count * height]
-        start = cubes.start * tile_rows + r
-        tiles._form_unsigned(slice(start, start + len(formed)), formed)  # |-x| = |x|
-        return formed.reshape(count, height, n_cols, tile_cols)
+    def reduce_blocks(_, task: tuple, scratch: np.ndarray) -> None:
+        cubes, rs = task
+        for r in rs:
+            rows = min(step, tile_rows - r)
+            if lazy:
+                # a block is one run of sample rows: band > 1 only where step is tile_rows
+                formed = scratch[:2].reshape(-1).view(np.complex128)[: (cubes.stop - cubes.start) * rows * row]
+                formed = formed.reshape(-1, row)
+                start = cubes.start * tile_rows + r
+                tiles.symbol._form_unsigned(slice(start, start + len(formed)), formed)  # |-x| = |x|
+                view = formed.reshape(-1, rows, n_cols, tile_cols)
+            else:
+                view = tiles[cubes, r : r + rows]
+            sums = _block_reduce(view, exponents, None if scale is None else scale[cubes], scratch)
+            for p, part, block_sums in zip(exponents, parts, sums):
+                out = part[r // step if split else 0, cubes]
+                if r == rs.start:
+                    out[...] = block_sums
+                else:
+                    (np.maximum if p.is_inf else np.add)(out, block_sums, out=out)
 
-    def reduce_band(_, rows: slice, buf: np.ndarray) -> None:
-        for i in range(rows.start, rows.stop, band):
-            cubes = slice(i, min(i + band, rows.stop))
-            outs = [table[cubes] for table in tables]
-            part_scale = None if scale is None else scale[cubes]
-            for out, part in zip(outs, _block_reduce(block(cubes, 0, buf), exponents, part_scale)):
-                out[...] = part
-            for r in range(step, tile_rows, step):
-                parts = _block_reduce(block(cubes, r, buf), exponents, part_scale)
-                for p, out, part in zip(exponents, outs, parts):
-                    (np.maximum if p.is_inf else np.add)(out, part, out=out)
-
-    tasks = list(_chunks(((0, n_rows),), _task_rows(tile_rows * row)))
-    _each_slab(reduce_band, tasks, min(band, n_rows) * step if lazy else 0, row)
+    _each_slab(reduce_blocks, tasks, (4, min(band, n_rows) * step * row), float)
+    tables = []
+    for p, part in zip(exponents, parts):
+        table = part[0]
+        for later in part[1:]:
+            (np.maximum if p.is_inf else np.add)(table, later, out=table)
+        tables.append(table)
     return tables
 
 
-def _block_reduce(block: np.ndarray, exponents, scale) -> list[np.ndarray]:
+def _block_reduce(block: np.ndarray, exponents, scale, scratch: np.ndarray | None = None) -> list[np.ndarray]:
     """Per cube of a 4-D block, the sum of (|x| / scale)^p for each p (the max for p = inf).
 
     |x| is taken once for every exponent.  p = 2 is one square, as ``**`` does
@@ -167,29 +181,40 @@ def _block_reduce(block: np.ndarray, exponents, scale) -> list[np.ndarray]:
     all where the powers are subnormal.  p = 4/3 is |x| * cbrt|x|, about
     twice as fast as ``**`` and closer to the exact power: ``**`` raises to
     the rounded exponent, 7.4e-17 below 4/3, so its relative error grows
-    with |ln |x||, to about 1.7e-14 at |x| = 1e-100.
+    with |ln |x||, to about 1.7e-14 at |x| = 1e-100.  A pool task passes
+    ``scratch``, four rows of floats of at least the block's size, and
+    allocates no temporary: the rows hold the squares, the other powers, |x|
+    and the sums over the rows in each cube.  The first two rows may hold
+    ``block`` itself, which |x| is taken from before they are written.  An
+    inline call allocates its own.
     """
-    a = np.abs(block)
+    shape = block.shape
+    if scratch is None:
+        squares = power = a = row_sums = None
+    else:
+        squares, power, a = (buf[: block.size].reshape(shape) for buf in scratch[:3])
+        row_sums = scratch[3, : block.size // shape[1]].reshape(shape[0], shape[2], shape[3])
+    a = np.abs(block, out=a)
     if scale is not None:
         a /= scale[:, None, :, None]
-    squares = None
+    squares_of = None
     sums = []
     for p in exponents:
         if p.is_inf or p.value == 1.0:
             x = a
         elif p.value in (2.0, 4.0):
-            if squares is None:
-                squares = np.square(a)
-            x = squares if p.value == 2.0 else np.square(squares)
+            if squares_of is None:
+                squares_of = np.square(a, out=squares)
+            x = squares_of if p.value == 2.0 else np.square(squares_of, out=power)
         elif p.value == 4.0 / 3.0:
-            x = np.cbrt(a)
+            x = np.cbrt(a, out=power)
             x *= a
         else:
-            x = a**p.value
+            x = np.power(a, p.value, out=power)
         # reduce over the rows in each cube first, along contiguous memory, then
         # over the short runs of columns
         reduce = np.maximum.reduce if p.is_inf else np.add.reduce
-        sums.append(reduce(reduce(x, axis=1) if x.shape[1] > 1 else x[:, 0], axis=2))
+        sums.append(reduce(reduce(x, axis=1, out=row_sums) if shape[1] > 1 else x[:, 0], axis=2))
     return sums
 
 
@@ -214,20 +239,28 @@ def _cube_shape(a: SampledSymbol) -> tuple[int, int, int, int]:
     return (a.x_grid.L, a.x_grid.m, a.w_grid.L, a.w_grid.m)
 
 
-def _cubes(f):
-    """Cube view of a sampled object: (L, 1, 1, m) for a signal, (Lx, mx, Lw, mw) for a symbol.
+@dataclass(frozen=True)
+class _FormedCubes:
+    """The cube view ``shape`` of a symbol whose rows ``_tile_reduce`` forms a block at a time."""
 
-    A symbol whose rows are formed rather than read (``_forms_rows``) is
-    returned itself, for ``_tile_reduce`` to form its rows a block at a time.
+    symbol: _LazySymbol
+    shape: tuple[int, int, int, int]
+
+
+def _cubes(f, shape=None):
+    """Cube view of a sampled object: (L, 1, 1, m) for a signal, ``shape`` or (Lx, mx, Lw, mw) for a symbol.
+
+    A symbol whose rows are formed rather than read (``_forms_rows``) gives
+    its ``_FormedCubes``, for ``_tile_reduce`` to form its rows a block at
+    a time.
     """
     if isinstance(f, SampledSignal):
         g = f.grid
         return f.samples.reshape(g.L, 1, 1, g.m)
-    if _forms_rows(f):
-        return f
-    if isinstance(f, SampledSymbol):
-        return f.samples.reshape(_cube_shape(f))
-    raise TypeError(f"expected SampledSignal or SampledSymbol, got {type(f)!r}")
+    if not isinstance(f, SampledSymbol):
+        raise TypeError(f"expected SampledSignal or SampledSymbol, got {type(f)!r}")
+    shape = _cube_shape(f) if shape is None else shape
+    return _FormedCubes(f, shape) if _forms_rows(f) else f.samples.reshape(shape)
 
 
 def _frozen(a: np.ndarray) -> bool:
@@ -254,7 +287,7 @@ def _fill_cube_tables(f, exponents) -> list[np.ndarray]:
     """
     tiles = _cubes(f)
     # unformed lazy samples will be a fresh read-only array: nothing can write them
-    memo = f.__dict__.setdefault("_cube_tables", {}) if tiles is f or _frozen(f.samples) else {}
+    memo = f.__dict__.setdefault("_cube_tables", {}) if isinstance(tiles, _FormedCubes) or _frozen(f.samples) else {}
     missing = list({p.value: p for p in exponents if p.value not in memo}.values())
     if missing:
         for p, table in zip(missing, _roots(tiles, missing)):
@@ -283,16 +316,16 @@ def lp_norm(f, p) -> float:
 def mixed_lpq(F: SampledSymbol, p, q) -> float:
     """Inner L^p over the time axis for each frequency, then L^q over frequency."""
     p, q = as_exponent(p), as_exponent(q)
-    nx, nw = F.samples.shape
-    columns = _root(F.samples.reshape(1, nx, nw, 1), p)  # one cube per frequency
+    nx, nw = F.x_grid.N, F.w_grid.N
+    columns = _root(_cubes(F, (1, nx, nw, 1)), p)  # one cube per frequency
     return F.x_grid.h**p.reciprocal * F.w_grid.h**q.reciprocal * _sequence_norm(columns, q)
 
 
 def mixed_lplq(F: SampledSymbol, p, q) -> float:
     """Inner L^q over the frequency axis for each time, then L^p over time."""
     p, q = as_exponent(p), as_exponent(q)
-    nx, nw = F.samples.shape
-    rows = _root(F.samples.reshape(nx, 1, 1, nw), q)  # one cube per time
+    nx, nw = F.x_grid.N, F.w_grid.N
+    rows = _root(_cubes(F, (nx, 1, 1, nw)), q)  # one cube per time
     return F.w_grid.h**q.reciprocal * F.x_grid.h**p.reciprocal * _sequence_norm(rows, p)
 
 

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import contextvars
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -29,7 +30,15 @@ from .grid import (
     phase_space_symbol,
 )
 
-_TASK_ELEMENTS = 1 << 18  # samples in one pool task: rows of a transform or rows of cubes of a norm
+_TASK_ELEMENTS = 1 << 18  # samples in one slab of synthesis; a pool task holds a quarter of it
+
+_pool = None  # the worker threads of _each, made on first use
+# non-empty while _pool belongs to this process: a forked child empties it, as
+# the parent's threads are not there.  Neither this hook nor the initializer of
+# the workers holds the module, so a pool goes when its module is dropped.
+_pool_live = []
+os.register_at_fork(after_in_child=_pool_live.clear)
+_in_pool = threading.local()  # .worker is True on the threads of a pool
 
 
 def _workers() -> int:
@@ -40,24 +49,43 @@ def _workers() -> int:
         return os.cpu_count() or 1
 
 
-def _each(fn, items) -> None:
-    """Call ``fn`` on every item, the calls spread over one thread per CPU.
+def _executor() -> ThreadPoolExecutor:
+    """The pool of ``_workers()`` threads that serves every later call in this process, made on first use.
 
-    The pool lives for this call only.  Each call runs in a copy of the
-    caller's context, so an enclosing ``np.errstate`` holds in the workers
-    too.  With one item or one CPU the calls run inline, in order.  The calls
-    must write disjoint outputs and call no public function of the library.
+    Two first calls at once may each make one; the one not kept finishes
+    its tasks and goes.
+    """
+    global _pool
+    if not _pool_live:
+        _pool = ThreadPoolExecutor(
+            _workers(), thread_name_prefix="tfamalgam", initializer=setattr, initargs=(_in_pool, "worker", True)
+        )
+        _pool_live.append(True)
+    return _pool
+
+
+def _each(fn, items) -> None:
+    """Call ``fn`` on every item, the calls spread over the threads of one long-lived pool.
+
+    Each call runs in a copy of the caller's context, so an enclosing
+    ``np.errstate`` holds in the workers too.  With one item or one CPU, or
+    when called from a worker of the pool (so a nested call cannot wait on
+    the threads it occupies), the calls run inline, in order.  Every call
+    ends before this returns, and the first error is then raised.  The calls
+    must write disjoint outputs, call no public function of the library and
+    allocate no block-sized scratch: memory a worker frees stays in its
+    malloc arena, and the workers outlive the call.
     """
     items = list(items)
-    workers = min(len(items), _workers())
-    if workers <= 1:
+    if len(items) <= 1 or _workers() <= 1 or getattr(_in_pool, "worker", False):
         for item in items:
             fn(item)
         return
-    with ThreadPoolExecutor(workers) as pool:
-        futures = [pool.submit(contextvars.copy_context().run, fn, item) for item in items]
-        for future in futures:
-            future.result()
+    pool = _executor()
+    futures = [pool.submit(contextvars.copy_context().run, fn, item) for item in items]
+    wait(futures)
+    for future in futures:
+        future.result()
 
 
 def _alternating(n: int) -> np.ndarray:
@@ -76,12 +104,20 @@ def _centered_fft(values: np.ndarray, scale: float, transform) -> np.ndarray:
 
     The first sign pass is the complex copy and the last one folds into the
     scale; both are exact, as s = +-1.  ``stft`` and ``synthesis`` fold these
-    passes into their own loops instead.
+    passes into their own loops instead.  The rows are independent, and
+    slices of them, transformed and post-signed in place, are the tasks of
+    ``_each``.
     """
-    s = _alternating(values.shape[-1])
+    n = values.shape[-1]
+    s = _alternating(n)
     x = np.multiply(values, s, dtype=np.complex128)
-    transform(x, axis=-1, out=x)
-    x *= s * scale
+    rows, post = x.reshape(-1, n), s * scale
+
+    def part(r: slice) -> None:
+        transform(rows[r], axis=-1, out=rows[r])
+        rows[r] *= post
+
+    _each_rows(part, ((0, len(rows)),), n)
     return x
 
 
@@ -165,25 +201,27 @@ def _chunks(runs, block: int):
 
 
 def _task_rows(width: int) -> int:
-    """Rows of ``width`` samples in one pool task: about ``_TASK_ELEMENTS`` samples."""
+    """Rows of ``width`` samples in one slab of ``synthesis``: about ``_TASK_ELEMENTS`` samples."""
     return max(1, _TASK_ELEMENTS // width)
 
 
 def _each_rows(fn, runs, width: int) -> None:
-    """``_each(fn, ...)`` over slices of the row runs, one task of rows of ``width`` samples each."""
-    _each(fn, _chunks(runs, _task_rows(width)))
+    """``_each(fn, ...)`` over slices of the row runs, each of about ``_TASK_ELEMENTS // 4`` samples of rows of ``width``."""
+    _each(fn, _chunks(runs, _task_rows(4 * width)))
 
 
-def _each_slab(fn, slabs, height: int, width: int) -> None:
+def _each_slab(fn, slabs, shape, dtype=np.complex128) -> None:
     """Call ``fn(i, slabs[i], buf)`` for every slab, the slabs dealt out to the workers in turn.
 
     Worker ``w`` takes slabs ``w``, ``w + workers``, ... through ``_each``;
-    ``buf`` is its own ``(height, width)`` complex buffer.  The buffers are
-    made here, not in the tasks: memory a worker thread frees stays in its
-    malloc arena.
+    ``buf`` is its own buffer of ``shape``.  The buffers are made here, not
+    in the tasks, as memory a worker thread frees stays in its malloc arena;
+    and as one array: buffers freed one by one can leave the heap's free top
+    above glibc's trim threshold, so that every call faults their pages in
+    again (about 9000 minor faults per region-locop pass, against 5).
     """
     workers = min(len(slabs), _workers())
-    bufs = np.empty((workers, height, width), dtype=np.complex128)
+    bufs = np.empty((workers, *shape), dtype=dtype)
 
     def task(worker: int) -> None:
         for i in range(worker, len(slabs), workers):
@@ -282,16 +320,21 @@ def _forms_rows(F: SampledSymbol) -> bool:
     """Whether the row readers (cube tables, ``synthesis``, the operators) form the rows of ``F``.
 
     A ``_LazySymbol`` whose samples are not formed is read by forming its
-    rows over its ``rows``, so it is never held whole.  Any other symbol,
-    a lazy one whose samples have been read included, is read from its
-    samples over its ``_nonzero_row_runs``: its rows are already paid for.
+    rows, so it is never held whole.  Any other symbol, a lazy one whose
+    samples have been read included, is read from its samples: its rows are
+    already paid for.  Either way they are read over ``_row_runs``.
     """
     return isinstance(F, _LazySymbol) and not F.formed
 
 
 def _row_runs(F: SampledSymbol) -> tuple[tuple[int, int], ...]:
-    """The runs of the rows of ``F`` that may be nonzero, as its readers take them (``_forms_rows``)."""
-    return F.rows if _forms_rows(F) else _nonzero_row_runs(F.samples)
+    """The runs of the rows of ``F`` that its readers read: a lazy symbol's ``rows``, formed or not.
+
+    A lazy symbol's runs do not depend on whether its samples have been
+    read, so neither do the slabs ``synthesis`` cuts from them, nor its
+    output bits.  A plain symbol's are its ``_nonzero_row_runs``.
+    """
+    return F.rows if isinstance(F, _LazySymbol) else _nonzero_row_runs(F.samples)
 
 
 def _symbol_stride(F: SampledSymbol, grid: Grid1D) -> int:
@@ -356,9 +399,11 @@ def synthesis(F: SampledSymbol, g: SampledSignal) -> SampledSignal:
     each in row order on a task of ``_each``, and the slab sums in slab
     order, so the result does not depend on the CPU count.  Each worker forms
     the rows of its slab in its own buffer, or reads them (``_forms_rows``).
-    Each row is signed by (-1)^k before its inverse FFT; a lazy F whose rows
-    carry that sign (its ``sign``, as an STFT's do) forms them unsigned and
-    skips the pre-sign, which is exact, as s * s = 1 and a * (-v) = -(a * v).
+    A lone slab is formed in parts on the tasks of ``_each_rows``, into one
+    buffer, and then summed in row order as any slab is.  Each row is signed
+    by (-1)^k before its inverse FFT; a lazy F whose rows carry that sign
+    (its ``sign``, as an STFT's do) forms them unsigned and skips the
+    pre-sign, which is exact, as s * s = 1 and a * (-v) = -(a * v).
     """
     grid = g.grid
     stride = _symbol_stride(F, grid)
@@ -369,8 +414,8 @@ def synthesis(F: SampledSymbol, g: SampledSignal) -> SampledSignal:
     s = _alternating(n)
     sums = np.empty((len(slabs), n), dtype=np.complex128)
 
-    def transform(i: int, rows: slice, buf: np.ndarray) -> None:
-        slab = buf[: rows.stop - rows.start]
+    def profiles(rows: slice, slab: np.ndarray) -> None:
+        """The rows ``rows`` signed, transformed and windowed, into ``slab``."""
         if not lazy:
             np.multiply(F.samples[rows], s, out=slab)
         else:
@@ -379,9 +424,23 @@ def synthesis(F: SampledSymbol, g: SampledSignal) -> SampledSignal:
                 slab *= s
         np.fft.ifft(slab, axis=-1, out=slab)
         slab *= windows[rows]
-        slab.sum(axis=0, out=sums[i])
 
-    _each_slab(transform, slabs, max((rows.stop - rows.start for rows in slabs), default=0), n)
+    if len(slabs) == 1:
+        (rows,) = slabs
+        slab = np.empty((rows.stop - rows.start, n), dtype=np.complex128)
+
+        def part(r: slice) -> None:
+            profiles(r, slab[r.start - rows.start : r.stop - rows.start])
+
+        _each_rows(part, ((rows.start, rows.stop),), n)
+        slab.sum(axis=0, out=sums[0])
+    else:
+        def transform(i: int, rows: slice, buf: np.ndarray) -> None:
+            slab = buf[: rows.stop - rows.start]
+            profiles(rows, slab)
+            slab.sum(axis=0, out=sums[i])
+
+        _each_slab(transform, slabs, (max((rows.stop - rows.start for rows in slabs), default=0), n))
     out = sums.sum(axis=0)
     # the post-sign and the scale are the same for every row: apply them to the sum
     out *= s * (_center_sign(n) * n / F.w_grid.m * F.x_grid.h)

@@ -5,7 +5,10 @@ several tasks and the threaded path runs whatever the CPU count here.  Every
 threaded result must be bit-identical to the single-worker one.
 """
 
+import os
+import sys
 import threading
+import time
 import tracemalloc
 import warnings
 
@@ -17,7 +20,7 @@ from tfamalgam.families import bump, chirp_family, gaussian_family, sharpness_sy
 from tfamalgam.grid import as_exponent, make_grid, make_signal, make_symbol, phase_space_symbol, sample
 from tfamalgam.locop import apply_locop
 from tfamalgam.norms import _cube_table, _fill_cube_tables, standard_window
-from tfamalgam.transforms import StftPlan, _each, _nonzero_row_runs, stft, synthesis
+from tfamalgam.transforms import StftPlan, _each, _nonzero_row_runs, dft_centered, idft_centered, stft, synthesis
 
 EXPONENTS = [as_exponent(p) for p in ("1", "4/3", "2", "4", "inf")]
 GRID = make_grid(4, 32)  # N = 128: the STFT has 4 rows of cubes of 4096 samples
@@ -27,9 +30,10 @@ NOWHERE_ZERO = families.WindowSpec(gaussian_family(16.0).evaluator, support_radi
 
 @pytest.fixture
 def small_bands(monkeypatch):
-    """Tasks of 512 samples and cube-table blocks of 1024, so a 128 x 128 symbol spans
-    32 row tasks and its cube tables 4, one per row of cubes; a separable symbol
-    weights an STFT of 128 columns in blocks of 3 rows, so a task of 4 rows
+    """Slabs of 512 samples, row tasks of a quarter of that and cube-table blocks
+    of 1024, so a 128 x 128 symbol spans 128 row tasks of one row, 32 slabs of
+    4 rows and 4 cube-table bands, one per row of cubes; a separable symbol
+    weights an STFT of 128 columns in blocks of 3 rows, so a slab of 4 rows
     ends in a partial block."""
     monkeypatch.setattr(transforms, "_TASK_ELEMENTS", 1 << 9)
     monkeypatch.setattr(norms, "_BLOCK", 1 << 10)
@@ -87,6 +91,131 @@ def test_each_raises_the_error_of_a_task(monkeypatch):
         _each(fail_on_three, range(6))
 
 
+def test_each_raises_after_every_task_has_ended(monkeypatch):
+    # the pool outlives the call, so a task still running when the error is
+    # raised would write into outputs the caller has already dropped
+    monkeypatch.setattr(transforms, "_workers", lambda: 2)
+    ended = []
+
+    def fail_first(item):
+        if item == 0:
+            raise ValueError("task 0")
+        time.sleep(0.01)
+        ended.append(item)
+
+    with pytest.raises(ValueError, match="task 0"):
+        _each(fail_first, range(6))
+    assert sorted(ended) == [1, 2, 3, 4, 5]
+
+
+def test_each_keeps_one_pool_for_every_call(monkeypatch):
+    monkeypatch.setattr(transforms, "_workers", lambda: 2)
+    threads = set()
+
+    def record(item):
+        time.sleep(0.001)
+        threads.add(threading.get_ident())
+
+    for _ in range(5):
+        _each(record, range(8))
+    assert threading.get_ident() not in threads
+    assert len(threads) <= transforms._pool._max_workers
+
+
+def test_a_nested_each_from_a_worker_runs_inline(monkeypatch):
+    # every worker runs an outer task that calls _each again: were the inner
+    # tasks queued on the pool, the outer ones would wait on them forever
+    monkeypatch.setattr(transforms, "_workers", lambda: 2)
+    inner = {}
+
+    def outer(item):
+        _each(lambda k: inner.setdefault((item, k), threading.get_ident()), range(4))
+        assert {inner[item, k] for k in range(4)} == {threading.get_ident()}
+
+    done = threading.Event()
+    errors = []
+
+    def run():
+        try:
+            _each(outer, range(2 * transforms._executor()._max_workers))
+        except Exception as exc:  # reported below, not lost in the thread
+            errors.append(exc)
+        done.set()
+
+    threading.Thread(target=run, daemon=True).start()
+    assert done.wait(timeout=30), "a nested _each did not finish"
+    assert errors == []
+    assert len(inner) == 4 * 2 * transforms._pool._max_workers
+
+
+def test_callers_on_many_threads_share_one_pool(monkeypatch):
+    # more workers than cores, eight callers that race to make the first pool
+    # and then share it, and a short switch interval: every transform must
+    # still be the serial one, bit for bit
+    monkeypatch.setattr(transforms, "_pool", None)
+    monkeypatch.setattr(transforms, "_pool_live", [])
+    monkeypatch.setattr(transforms, "_TASK_ELEMENTS", 1 << 9)  # 32 tasks of 4 rows
+    monkeypatch.setattr(transforms, "_workers", lambda: 1)
+    rng = np.random.default_rng(5)
+    inputs = [rng.standard_normal((128, 32)) for _ in range(8)]
+    want = [dft_centered(values, 4) for values in inputs]
+    monkeypatch.setattr(transforms, "_workers", lambda: 4)
+    same = [None] * len(inputs)
+
+    def call(k):
+        same[k] = all(np.array_equal(dft_centered(inputs[k], 4), want[k]) for _ in range(20))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=call, args=(k,), daemon=True) for k in range(len(inputs))]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    assert same == [True] * len(inputs)
+
+
+def test_a_forked_child_makes_its_own_pool(monkeypatch):
+    # the parent's pool is made first, so the child inherits it without its threads
+    monkeypatch.setattr(transforms, "_workers", lambda: 2)
+    values = np.random.default_rng(2).standard_normal((64, 64))
+    monkeypatch.setattr(transforms, "_TASK_ELEMENTS", 1 << 9)  # 16 tasks of 4 rows
+    want = dft_centered(values, 8)
+    assert transforms._pool_live
+    pid = os.fork()
+    if pid == 0:  # the child: exit 0 only if the pooled transform matches
+        try:
+            os._exit(0 if np.array_equal(dft_centered(values, 8), want) and transforms._pool_live else 1)
+        finally:
+            os._exit(2)
+    deadline = time.monotonic() + 30
+    while (status := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    if status[0] == 0:
+        os.kill(pid, 9)
+        os.waitpid(pid, 0)
+        pytest.fail("the forked child did not finish")
+    assert os.waitstatus_to_exitcode(status[1]) == 0
+
+
+@pytest.mark.parametrize("task", [1 << 9, 1 << 18])
+@pytest.mark.parametrize("transform", [dft_centered, idft_centered])
+def test_centered_fft_is_bit_identical_for_any_worker_count(monkeypatch, task, transform):
+    # row slices are the tasks; each row must be the one-row transform, bit for bit
+    monkeypatch.setattr(transforms, "_TASK_ELEMENTS", task)
+    rng = np.random.default_rng(11)
+    values = rng.standard_normal((48, 128)) + 1j * rng.standard_normal((48, 128))
+    want = np.array([transform(row, 16) for row in values])
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(transforms, "_workers", lambda: workers)
+        assert np.array_equal(transform(values, 16), want)
+        assert np.array_equal(transform(values.real, 16), np.array([transform(row, 16) for row in values.real]))
+
+
 @pytest.mark.parametrize("stride", [1, 2])
 @pytest.mark.parametrize("rows", [None, ((0, 5), (9, 40), (50, 64))])
 def test_stft_is_bit_identical_for_any_worker_count(small_bands, stride, rows):
@@ -133,6 +262,30 @@ def test_cube_tables_do_not_depend_on_a_partial_group_of_rows_of_cubes(monkeypat
     whole = _fresh_tables(v, EXPONENTS)
     for a, b in zip(whole, grouped):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("shape", [(1, 64, 128, 1), (3, 64, 16, 8)])
+@pytest.mark.parametrize("task", [1 << 9, 1 << 18])
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_cube_tables_add_the_sums_of_their_blocks_in_block_order(monkeypatch, workers, task, shape):
+    # rows of 128 samples: blocks of 1024 samples hold 8 of the 64 rows of a
+    # row of cubes, so each row of cubes splits into 8 blocks, each a task; the
+    # first shape is mixed_lpq's view, one row of cubes and one cube per column
+    monkeypatch.setattr(norms, "_BLOCK", 1 << 10)
+    monkeypatch.setattr(transforms, "_TASK_ELEMENTS", task)
+    monkeypatch.setattr(transforms, "_workers", lambda: workers)
+    rng = np.random.default_rng(23)
+    tiles = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    exponents = [as_exponent(p) for p in ("1", "inf")]
+    blocks = [np.abs(tiles[:, r : r + 8]) for r in range(0, 64, 8)]
+    total, peak = None, None
+    for block in blocks:
+        part = np.add.reduce(np.add.reduce(block, axis=1), axis=2)
+        total = part if total is None else total + part
+        top = np.maximum.reduce(np.maximum.reduce(block, axis=1), axis=2)
+        peak = top if peak is None else np.maximum(peak, top)
+    got = norms._tile_reduce(tiles, exponents)
+    assert np.array_equal(got[0], total) and np.array_equal(got[1], peak)
 
 
 def test_fused_tables_equal_one_at_a_time_tables(small_bands):
@@ -278,6 +431,49 @@ def test_synthesis_adds_row_sums_of_slabs_in_slab_order(monkeypatch, workers):
     assert np.array_equal(synthesis(v, g).samples, want)
 
 
+@pytest.mark.parametrize("task", [1 << 12, 1 << 14])
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_a_lone_slab_is_formed_in_parts_and_summed_in_row_order(monkeypatch, workers, task):
+    # at N = 64 one slab holds every row, and its parts of task / (4 N) rows are
+    # the tasks: 4 parts of 16 rows, or one part of all 64, as one slab sums them
+    grid = make_grid(4, 16)
+    n = grid.N
+    monkeypatch.setattr(transforms, "_TASK_ELEMENTS", task)
+    monkeypatch.setattr(transforms, "_workers", lambda: workers)
+    rng = np.random.default_rng(17)
+    samples = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    v = make_symbol(grid, grid.dual, samples)
+    g = make_signal(grid, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    t = np.arange(n)
+    s = np.where(t % 2, -1.0, 1.0)
+    windows = g.samples[(t[None, :] - (t[:, None] - n // 2)) % n]
+    profiles = np.fft.ifft(samples * s, axis=-1) * windows
+    total = profiles[0]
+    for row in profiles[1:]:
+        total = total + row
+    sign = -1.0 if (n // 2) % 2 else 1.0
+    assert transforms._task_rows(n) >= n
+    assert np.array_equal(synthesis(v, g).samples, total * (s * (sign * n / grid.dual.m * grid.h)))
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_lone_slabs_of_lazy_symbols_are_bit_identical_for_any_worker_count(monkeypatch, small_bands, workers):
+    # _TASK_ELEMENTS = 2^12 at N = 64: one slab of every row in parts of 16, for
+    # an unformed STFT and for the weighted STFT of an operator, whose product
+    # blocks of 6 rows end part-way through a part
+    grid = make_grid(4, 16)
+    small_bands(1)
+    monkeypatch.setattr(transforms, "_TASK_ELEMENTS", 1 << 12)
+    f, window = sample(chirp_family(bump(0.0, 1.0), 3.0), grid), standard_window(grid)
+    a = sharpness_symbol(bump(0.0, 1.0), 3.0, grid)
+    assert len(a.rows) == 1 and a.rows[0][1] - a.rows[0][0] > 16
+    serial = synthesis(stft(f, window), window).samples, apply_locop(a, window, window, f).samples
+    small_bands(workers)
+    assert np.array_equal(synthesis(stft(f, window), window).samples, serial[0])
+    assert np.array_equal(apply_locop(a, window, window, f).samples, serial[1])
+    assert np.abs(serial[0]).max() > 0.0 and np.abs(serial[1]).max() > 0.0
+
+
 def test_synthesis_holds_no_block_of_the_symbol(monkeypatch):
     # two workers hold one slab buffer each: the peak must stay below three
     # slabs plus the slab sums and the output, about 12.5 MB at N = 2048
@@ -349,6 +545,26 @@ def test_synthesis_of_a_lazy_symbol_sums_a_zero_row_inside_its_runs(small_bands,
     want = synthesis(make_symbol(GRID, GRID.dual, dense), g).samples
     assert not F.formed
     assert np.abs(out - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_synthesis_of_a_lazy_symbol_does_not_depend_on_whether_its_samples_were_read(small_bands, workers):
+    # the bump window leaves rows 0-33 and 95-127 of this STFT zero: its rows
+    # are ((0, 128),) and its nonzero runs ((34, 95),); both reads cut the slabs
+    # from its rows, so they sum the same rows in the same order
+    small_bands(workers)
+    grid = make_grid(8, 16)
+    window = sample(bump(0.0, 1.0), grid)
+    f = sample(chirp_family(bump(0.0, 1.0), 2.0), grid)
+    a, _, g = _sharpness_operator(grid, 2.0)
+    v, b = stft(f, window), stft(f, window)
+    unformed = synthesis(v, window).samples, apply_locop(b, window, window, g).samples
+    assert not v.formed and not b.formed
+    assert v.rows == ((0, 128),) and _nonzero_row_runs(v.samples) == ((34, 95),)
+    b.samples
+    assert np.array_equal(synthesis(v, window).samples, unformed[0])
+    assert np.array_equal(apply_locop(b, window, window, g).samples, unformed[1])
+    assert np.abs(unformed[0]).max() > 0.0 and np.abs(unformed[1]).max() > 0.0
 
 
 def _sharpness_operator(grid=GRID, lam=3.0):
@@ -479,6 +695,7 @@ def test_small_inputs_start_no_thread(monkeypatch):
 
     monkeypatch.setattr(transforms, "_workers", lambda: 2)
     monkeypatch.setattr(transforms, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(transforms, "_pool_live", [])  # so a use of the pool must make one
     grid = make_grid(16, 16)
     a, window, f = _sharpness_operator(grid, 4.0)
     v = stft(f, window)

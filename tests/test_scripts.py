@@ -78,6 +78,16 @@ def test_bench_stft_table_timer_times_both_scan_probes():
     assert all(0.0 < t < 60.0 for layers in timings.values() for t in layers["stft tables"])
 
 
+def test_bench_point_query_timer_times_each_call_at_every_size():
+    bench = _load("bench")
+    peaks = {}
+    timings = bench.point_query_timings(sizes=(128, 256), repeats=2, peaks=peaks)
+    names = {"stft L=16", "mixed_lpq L=16", "symbol_mixed_norm L=16", "apply_locop L=16", "modulation_norm_triebel L=16"}
+    assert {k: set(v) for k, v in timings.items()} == {"N=128": names, "N=256": names}
+    assert {k: set(v) for k, v in peaks.items()} == {k: set(v) for k, v in timings.items()}
+    assert all(len(secs) == 2 and all(0.0 < s < 60.0 for s in secs) for layers in timings.values() for secs in layers.values())
+
+
 def test_bench_records_a_peak_allocation_beside_every_layer_time():
     bench = _load("bench")
     peaks = {}
@@ -95,6 +105,7 @@ def test_bench_records_a_peak_allocation_beside_every_layer_time():
 def test_bench_writes_the_peak_allocations_next_to_the_layer_times(monkeypatch, tmp_path):
     bench = _load("bench")
     layer_timings, region_locop_timings = bench.layer_timings, bench.region_locop_timings
+    point_query_timings = bench.point_query_timings
     for var in bench.BLAS_THREAD_VARS:  # main() pins them; restored after the test
         monkeypatch.setenv(var, "1")
     monkeypatch.setattr(sys, "path", list(sys.path))
@@ -106,12 +117,14 @@ def test_bench_writes_the_peak_allocations_next_to_the_layer_times(monkeypatch, 
     )
     monkeypatch.setattr(bench, "region_locop_timings", lambda peaks: region_locop_timings(n=64, repeats=1, peaks=peaks))
     monkeypatch.setattr(bench, "stft_table_timings", lambda peaks: {})
+    monkeypatch.setattr(bench, "point_query_timings", lambda peaks: point_query_timings(sizes=(128,), repeats=1, peaks=peaks))
     out = tmp_path / "BENCH.json"
     assert bench.main(["--out", str(out)]) == 0
     record = json.loads(out.read_text())
     layers = {k: set(v) for k, v in record["layers_s"].items()}
     assert {k: set(v) for k, v in record["layers_peak_alloc_mb"].items()} == layers
     assert "apply_locop L=4" in layers["N=64"]
+    assert "mixed_lpq L=16" in layers["N=128"]
 
 
 def test_bench_records_a_digest_of_the_tests_beside_that_of_the_source(tmp_path):

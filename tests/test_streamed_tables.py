@@ -15,10 +15,10 @@ import warnings
 import numpy as np
 import pytest
 
-from tfamalgam import norms, transforms
+from tfamalgam import families, norms, transforms
 from tfamalgam.families import bump, chirp_family, gaussian_family, sharpness_symbol
-from tfamalgam.grid import SampledSymbol, as_exponent, make_grid, make_signal, sample
-from tfamalgam.norms import _fill_cube_tables, _roots, amalgam_norm, lp_norm, standard_window
+from tfamalgam.grid import SampledSymbol, as_exponent, make_grid, make_signal, make_symbol, sample
+from tfamalgam.norms import _fill_cube_tables, _roots, amalgam_norm, lp_norm, mixed_lplq, mixed_lpq, standard_window
 from tfamalgam.transforms import StftPlan, stft
 
 EXPONENTS = [as_exponent(p) for p in ("1", "4/3", "2", "4", "inf")]
@@ -230,3 +230,25 @@ def test_a_copy_of_an_stft_is_a_dense_symbol_of_its_samples(duplicate, scale):
     assert type(b) is SampledSymbol
     assert (b.x_grid, b.w_grid) == (v.x_grid, v.w_grid)
     assert np.array_equal(b.samples, scale * v.samples)
+
+
+@pytest.mark.parametrize("amplitude", [1.0, 1e150, 1e-150])
+@pytest.mark.parametrize("symbol", ["stft", "sharpness"])
+@pytest.mark.parametrize("norm", [mixed_lpq, mixed_lplq])
+def test_mixed_norms_stream_a_lazy_symbol(monkeypatch, norm, symbol, amplitude):
+    # N = 512: mixed_lpq's one row of cubes (a column each) splits into 4 blocks
+    # of 128 rows, mixed_lplq's rows make 4 bands; at 1e+-150 the rescale pass
+    # forms the rows again, and the values stay those of the dense copy
+    monkeypatch.setattr(transforms, "_workers", lambda: 2)
+    grid = make_grid(16, 32)
+    for p, q in zip(EXPONENTS, EXPONENTS[1:] + EXPONENTS[:1]):
+        if symbol == "stft":
+            v = stft(_signal(grid, amplitude), standard_window(grid))
+        else:
+            a = sharpness_symbol(bump(0.0, 1.0), 3.0, grid)
+            v = families._SeparableSymbol._of(a.x_grid, a.w_grid, rows=a.rows, h=amplitude * a.h, freq=a.freq)
+        dense = make_symbol(v.x_grid, v.w_grid, v._form_whole(v.sign))
+        got = norm(v, p, q)
+        assert not v.formed
+        assert np.isfinite(got) and got > 0.0
+        assert np.array_equal(got, norm(dense, p, q)), (p, q)
