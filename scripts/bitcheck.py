@@ -15,6 +15,9 @@ BLAS threads pinned to 1.  A record holds:
   and ``norms._fill_cube_tables``;
 - the outputs of the 9 operators that ``scan-locop`` and ``scan-locop-lq``
   apply;
+- the ``build_kernel`` entries of the 4 cases of the Schur suite on the
+  8 x 16 grid (``experiments._suite_cases``), which the verify battery
+  builds;
 - the exit code and stdout of ``verify``, ``scan-stft``, ``scan-locop`` and
   ``scan-locop-lq``, each run as ``python -m tfamalgam COMMAND --out DIR``
   in its own process, and every artefact in DIR, with DIR replaced by
@@ -50,21 +53,23 @@ _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 
 def tables_and_operators() -> dict:
-    """The cube tables of the scan-stft probes and the outputs of the scan operators, by entry name."""
+    """The scan-stft probes' cube tables, the scan operators' outputs and the suite's kernels, by entry name."""
     from tfamalgam import (
         LocopScanSettings,
         StftScanSettings,
         apply_locop,
+        build_kernel,
         bump,
         chirp_family,
         gaussian_family,
+        make_grid,
         make_signal,
         sample,
         sharpness_symbol,
         standard_window,
         stft,
     )
-    from tfamalgam.experiments import DEFAULT_LQ_SETTINGS, WINDOWS, _guarded
+    from tfamalgam.experiments import DEFAULT_LQ_SETTINGS, WINDOWS, _guarded, _suite_cases
     from tfamalgam.grid import as_exponent
     from tfamalgam.norms import _fill_cube_tables
 
@@ -88,6 +93,8 @@ def tables_and_operators() -> dict:
             f = make_signal(grid, np.conj(sample(chirp_family(profile, lam), grid).samples))
             a = sharpness_symbol(profile, lam, grid)
             out[f"{command} operator lam={lam:g}"] = apply_locop(a, window, window, f).samples
+    for name, a, w1, w2 in _suite_cases(make_grid(8, 16)):
+        out[f"build_kernel {name}"] = build_kernel(a, w1, w2).entries
     return out
 
 

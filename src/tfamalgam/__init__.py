@@ -27,7 +27,6 @@ from .grid import (
     translate,
 )
 from .transforms import (
-    StftPlan,
     fourier,
     gaussian_stft_oracle,
     gaussian_stft_symbol,

@@ -251,11 +251,6 @@ def render_csv(columns, records) -> str:
     return "\n".join(lines) + "\n"
 
 
-def table_from_summary(summary: dict) -> str:
-    """Regenerate the primary CSV from a parsed JSON summary (byte-identical)."""
-    return render_csv(summary["columns"], summary["records"])
-
-
 @dataclass
 class RunResult:
     columns: list

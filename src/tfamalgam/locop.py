@@ -17,7 +17,7 @@ round-off; the kernel route feeds the Schur-type bounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,11 +31,11 @@ from .grid import (
 from . import families
 from .norms import lp_norm
 from .transforms import (
-    StftPlan,
     _LazySymbol,
+    _check_lattice,
     _forms_rows,
     _row_runs,
-    _symbol_stride,
+    _stft,
     _translates,
     dft_centered,
     stft,
@@ -47,27 +47,23 @@ _POWER_TOL = 1e-8
 _POWER_ITER_CAP = 5000
 
 
-def _check_operator_shapes(a: SampledSymbol, phi1: SampledSignal, phi2: SampledSignal) -> StftPlan:
-    """Validate the operator data; return the STFT layout of the symbol's time axis."""
+def _check_operator_shapes(a: SampledSymbol, phi1: SampledSignal, phi2: SampledSignal) -> None:
+    """Check that both windows share one grid and that ``a`` lives on its phase-space lattice."""
     if phi1.grid != phi2.grid:
         raise ValueError("both windows must live on the same grid")
-    return StftPlan(phi1.grid, _symbol_stride(a, phi1.grid))
-
-
-def _symbol_rows_plan(a: SampledSymbol, phi1: SampledSignal, phi2: SampledSignal) -> StftPlan:
-    """The operator's STFT layout, restricted to the rows where the symbol can be nonzero (``_row_runs``)."""
-    return replace(_check_operator_shapes(a, phi1, phi2), rows=_row_runs(a))
+    _check_lattice(a, phi1.grid)
 
 
 class _WeightedStft(_LazySymbol):
     """The weighted STFT a . V, its rows formed on demand: each row of V times that row of a.
 
-    ``v`` is the lazy STFT on the rows of ``rows``, outside which ``a`` is
-    zero.  Each row is filled from the unsigned row of ``v``, and ``sign`` is
-    ``v``'s: a * (-x) = -(a * x), so the signed rows are those of a * v.  The
-    product keeps the operand order of ``a * v`` (``v *= a`` rounds
-    differently in the complex product).  An ``a`` whose rows are formed
-    (``_forms_rows``) forms ``families._PRODUCT_ELEMENTS`` samples at a time.
+    ``v`` is the lazy STFT, and ``rows`` the runs of ``a`` (``_row_runs``),
+    outside which ``a`` is zero.  Each row is filled from the unsigned row
+    of ``v``, and ``sign`` is ``v``'s: a * (-x) = -(a * x), so the signed
+    rows are those of a * v.  The product keeps the operand order of
+    ``a * v`` (``v *= a`` rounds differently in the complex product).  An
+    ``a`` whose rows are formed (``_forms_rows``) forms
+    ``families._PRODUCT_ELEMENTS`` samples at a time.
     """
 
     a: SampledSymbol
@@ -89,10 +85,10 @@ class _WeightedStft(_LazySymbol):
             np.multiply(part, out[lo:hi], out=out[lo:hi])
 
 
-def _weighted_stft(a: SampledSymbol, f: SampledSignal, phi1: SampledSignal, plan: StftPlan) -> _WeightedStft:
-    """a . V_{phi1} f on the rows of ``plan``, formed on demand."""
-    v = stft(f, phi1, plan)
-    return _WeightedStft._of(a.x_grid, a.w_grid, rows=plan.rows, a=a, v=v, sign=v.sign)
+def _weighted_stft(a: SampledSymbol, f: SampledSignal, phi1: SampledSignal) -> _WeightedStft:
+    """a . V_{phi1} f on the rows where ``a`` can be nonzero, formed on demand."""
+    v = stft(f, phi1)
+    return _WeightedStft._of(a.x_grid, a.w_grid, rows=_row_runs(a), a=a, v=v, sign=v.sign)
 
 
 def apply_locop(
@@ -108,7 +104,8 @@ def apply_locop(
     unformed, and each of its workers forms a slab of rows of it in its own
     buffer, so the operator holds no symbol-sized array.
     """
-    return synthesis(_weighted_stft(a, f, phi1, _symbol_rows_plan(a, phi1, phi2)), phi2)
+    _check_operator_shapes(a, phi1, phi2)
+    return synthesis(_weighted_stft(a, f, phi1), phi2)
 
 
 def weak_pairing(
@@ -127,8 +124,9 @@ def weak_pairing(
     other symbol-sized array.  Both are formed without their column sign
     (-1)^k: (s x) conj(s y) = x conj(y) exactly when s = +-1.
     """
-    plan = _symbol_rows_plan(a, phi1, phi2)
-    v1, v2 = _weighted_stft(a, f, phi1, plan)._form_whole(), stft(g, phi2, plan)._form_whole()
+    _check_operator_shapes(a, phi1, phi2)
+    w = _weighted_stft(a, f, phi1)
+    v1, v2 = w._form_whole(), _stft(g, phi2, w.rows)._form_whole()
     v1 *= np.conjugate(v2, out=v2)
     return complex(a.cell * np.sum(v1))
 
@@ -139,7 +137,6 @@ class KernelMatrix:
 
     grid: Grid1D
     entries: np.ndarray
-    provenance: str = ""
 
     def __post_init__(self):
         n = self.grid.N
@@ -157,29 +154,28 @@ def kernel_action(K: KernelMatrix, f: SampledSignal) -> SampledSignal:
 def build_kernel(a: SampledSymbol, phi1: SampledSignal, phi2: SampledSignal) -> KernelMatrix:
     """Assemble the dense kernel by FFT convolution, at O(N^2 log N) cost.
 
-    With a2 the centered DFT of a in frequency, s = the time stride of a and
-    d = y - x, every term of the phase-space sum has the form
+    With a2 the centered DFT of a in frequency and d = y - x, every term of
+    the phase-space sum has the form
 
-        K(x, x + d) = h * sum_j a2[j, v] U_v(x - j*s),  v = d + N/2,
-        U_v(t) = phi2(t + N/2) conj(phi1(t + v))          (indices mod N),
+        K(x, x + d) = h * sum_j a2[j, v] U_v(x - j),  v = d + N/2,
+        U_v(t) = phi2(t + N/2) conj(phi1(t + v))      (indices mod N),
 
     so each diagonal v is one circular convolution over window positions:
-    the FFT of U_v times that of the column a2[:, v] upsampled by s (the
-    length N/s FFT of the column, tiled s times).  An entry no term reaches
+    the FFT of U_v times that of the column a2[:, v].  An entry no term reaches
     is set to exactly zero rather than left at FFT round-off: the same
     convolution of the two nonzero patterns counts the terms, and a count is
     a small integer, far from the threshold 1/2 at any feasible N.
     ``build_kernel_direct`` is the reference; the two agree to round-off.
     """
-    plan = _check_operator_shapes(a, phi1, phi2)
-    grid, stride = plan.grid, plan.x_stride
+    _check_operator_shapes(a, phi1, phi2)
+    grid = phi1.grid
     n = grid.N
-    half, nx = n // 2, a.x_grid.N
+    half = n // 2
     # row v: the FT of a in its second variable at value index v, along j; the
     # FFT reads the transposed view, so no transposed copy is made
     a_w = dft_centered(a.samples, a.w_grid.m)
     a2_nonzero = (a_w != 0).T
-    a2 = np.empty((n, nx), dtype=np.complex128)
+    a2 = np.empty((n, n), dtype=np.complex128)
     np.fft.fft(a_w.T, axis=-1, out=a2)
     del a_w
     a2 *= a.x_grid.h
@@ -188,12 +184,11 @@ def build_kernel(a: SampledSymbol, phi1: SampledSignal, phi2: SampledSignal) -> 
     pattern = (U != 0).astype(np.float64)
     counts = np.fft.rfft(pattern, axis=-1)
     np.fft.fft(U, axis=-1, out=U)
-    U.reshape(n, stride, nx)[...] *= a2[:, None, :]
+    U *= a2
     del a2
     np.fft.ifft(U, axis=-1, out=U)
     # term counts: the same convolution of the two nonzero patterns
-    pattern[...] = 0.0
-    pattern[:, ::stride] = a2_nonzero
+    pattern[...] = a2_nonzero
     counts *= np.fft.rfft(pattern, axis=-1)
     np.fft.irfft(counts, n, axis=-1, out=pattern)
     del counts
@@ -205,13 +200,13 @@ def build_kernel(a: SampledSymbol, phi1: SampledSignal, phi2: SampledSignal) -> 
         shift = (x - half) % n
         K[x, shift:] = U[: n - shift, x]
         K[x, :shift] = U[n - shift :, x]
-    return KernelMatrix(grid, K, provenance=f"stride={stride}")
+    return KernelMatrix(grid, K)
 
 
 def build_kernel_direct(a: SampledSymbol, phi1: SampledSignal, phi2: SampledSignal) -> KernelMatrix:
     """Reference kernel via the literal double phase-space sum (small grids only)."""
-    plan = _check_operator_shapes(a, phi1, phi2)
-    grid, stride = plan.grid, plan.x_stride
+    _check_operator_shapes(a, phi1, phi2)
+    grid = phi1.grid
     n = grid.N
     cell = a.cell
     omegas = a.w_grid.points
@@ -220,14 +215,14 @@ def build_kernel_direct(a: SampledSymbol, phi1: SampledSignal, phi2: SampledSign
     p1c = np.conj(phi1.samples)
     p2 = phi2.samples
     phases = np.exp(2j * np.pi * np.outer(x, omegas))  # e^{2 pi i w x}
-    for j in range(a.x_grid.N):
-        shift = j * stride - n // 2
+    for j in range(n):
+        shift = j - n // 2
         w2 = np.roll(p2, shift)
         w1c = np.roll(p1c, shift)
         mod2 = phases * (w2[:, None] * a.samples[j][None, :])  # (x, w)
         row = mod2 @ np.conj(phases).T  # sum over w of e^{2pi i w (x-y)} a phi2
         K += cell * row * w1c[None, :]
-    return KernelMatrix(grid, K, provenance=f"direct stride={stride}")
+    return KernelMatrix(grid, K)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,6 @@ import contextvars
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -143,44 +142,6 @@ def inverse_fourier(f: SampledSignal) -> SampledSignal:
     return make_signal(f.grid.dual, idft_centered(f.samples, f.grid.m))
 
 
-@dataclass(frozen=True)
-class StftPlan:
-    """Row layout for the STFT: keep every ``x_stride``-th time position.
-
-    The stride must divide the sample density so every unit cube still holds a
-    whole number of retained rows.  ``rows`` restricts the transform to some of
-    those time rows: a tuple of sorted, disjoint, non-empty ``(start, stop)``
-    runs inside ``[0, N // x_stride)``, or None for all.  Rows outside the runs
-    are exact zeros in the STFT.
-    """
-
-    grid: Grid1D
-    x_stride: int = 1
-    rows: tuple[tuple[int, int], ...] | None = None
-
-    def __post_init__(self):
-        if self.x_stride < 1 or self.grid.m % self.x_stride:
-            raise ValueError(
-                f"x_stride {self.x_stride} must be a positive divisor of m={self.grid.m}"
-            )
-        if self.rows is None:
-            return
-        runs = tuple((int(start), int(stop)) for start, stop in self.rows)
-        nx = self.shape[0]
-        end = 0
-        for start, stop in runs:
-            if not end <= start < stop <= nx:
-                raise ValueError(
-                    f"row runs {runs} must be sorted, disjoint, non-empty and inside [0, {nx})"
-                )
-            end = stop
-        object.__setattr__(self, "rows", runs)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.grid.N // self.x_stride, self.grid.N)
-
-
 def _nonzero_row_runs(samples: np.ndarray) -> tuple[tuple[int, int], ...]:
     """The (start, stop) runs of the rows of ``samples`` that hold a nonzero entry."""
     nonzero = np.empty(samples.shape[0], dtype=bool)
@@ -298,14 +259,16 @@ class _LazySymbol(SampledSymbol):
 
 
 class _StftSymbol(_LazySymbol):
-    """V_g f, its rows formed on demand: row j is ``sign * FFT(fs * windows[j])``.
+    """V_g f on the full lattice, its rows formed on demand: row j is ``sign * FFT(fs * windows[j])``.
 
     ``fs`` is the signal with the pre-sign and the scale folded in,
-    ``windows`` the table of the conjugate window translated to each time
-    position, and ``sign`` the post-sign (-1)^k, kept apart from the fill:
-    the cube tables take |x| of the unsigned rows, and ``synthesis``, whose
-    own pre-sign is the same (-1)^k, forms them unsigned and skips both.
-    ``stft`` builds it.
+    ``windows`` the table of the conjugate window translated to each of
+    the N time positions, and ``sign`` the post-sign (-1)^k, kept apart
+    from the fill: the cube tables take |x| of the unsigned rows, and
+    ``synthesis``, whose own pre-sign is the same (-1)^k, forms them
+    unsigned and skips both.  ``_stft`` builds it, on every row for
+    ``stft`` and on the rows where a symbol can be nonzero for
+    ``weak_pairing``.
     """
 
     fs: np.ndarray
@@ -337,13 +300,10 @@ def _row_runs(F: SampledSymbol) -> tuple[tuple[int, int], ...]:
     return F.rows if isinstance(F, _LazySymbol) else _nonzero_row_runs(F.samples)
 
 
-def _symbol_stride(F: SampledSymbol, grid: Grid1D) -> int:
-    """Check that ``F`` lives on a time sublattice of ``grid``'s phase space; return the time stride."""
-    if F.w_grid != grid.dual:
-        raise ValueError("symbol frequency lattice does not match the window grid")
-    if F.x_grid.L != grid.L or grid.m % F.x_grid.m:
-        raise ValueError("symbol time axis is not a sublattice of the window grid")
-    return grid.m // F.x_grid.m
+def _check_lattice(F: SampledSymbol, grid: Grid1D) -> None:
+    """Check that ``F`` lives on the phase-space lattice of ``grid``: time on ``grid``, frequency on its dual."""
+    if F.x_grid != grid or F.w_grid != grid.dual:
+        raise ValueError("symbol is not on the phase-space lattice of the window grid")
 
 
 def _translates(g: np.ndarray) -> np.ndarray:
@@ -357,35 +317,34 @@ def _translates(g: np.ndarray) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(np.tile(g, 3), g.shape[-1])
 
 
-def stft(f: SampledSignal, g: SampledSignal, plan: StftPlan | None = None) -> SampledSymbol:
+def stft(f: SampledSignal, g: SampledSignal) -> SampledSymbol:
     """Short-time Fourier transform V_g f on the phase-space lattice.
 
     Column x_j holds the centered DFT of t -> f(t) conj(g(t - x_j)) with
-    circular windowing; this matches the direct quadrature sum exactly.  Only
-    the rows in ``plan.rows`` are transformed; every other row is exact zero.
+    circular windowing; this matches the direct quadrature sum exactly.
     The rows are formed on demand: all of them on the first read of
     ``samples``, or a slice at a time by the row readers (``_forms_rows``).
     Rows are independent, and each task of ``_each`` transforms a slice of
     them, so the result does not depend on the CPU count.
     """
+    return _stft(f, g, ((0, f.grid.N),))
+
+
+def _stft(f: SampledSignal, g: SampledSignal, rows: tuple[tuple[int, int], ...]) -> _StftSymbol:
+    """V_g f with only the rows of the sorted, disjoint runs ``rows`` formed; every other row is exact zero."""
     if f.grid != g.grid:
         raise ValueError("stft requires signal and window on the same grid")
     grid = f.grid
-    if plan is None:
-        plan = StftPlan(grid)
-    elif plan.grid != grid:
-        raise ValueError("plan was built for a different grid")
     n = grid.N
-    nx = plan.shape[0]
     s = _alternating(n)
     # the pre-sign and the scale +-1/m fold into the signal once; both are exact
     # when m is a power of two, so the result is the same as signing each row
     return _StftSymbol._of(
-        Grid1D(grid.L, grid.m // plan.x_stride),
+        grid,
         grid.dual,
-        rows=((0, nx),) if plan.rows is None else plan.rows,
+        rows=rows,
         fs=f.samples * (s * (_center_sign(n) / grid.m)),
-        windows=_translates(np.conj(g.samples))[n + n // 2 :: -plan.x_stride][:nx],
+        windows=_translates(np.conj(g.samples))[n + n // 2 : n // 2 : -1],
         sign=s,
     )
 
@@ -393,8 +352,8 @@ def stft(f: SampledSignal, g: SampledSignal, plan: StftPlan | None = None) -> Sa
 def synthesis(F: SampledSymbol, g: SampledSignal) -> SampledSignal:
     """Adjoint-side phase-space sum: out = sum_{j,k} F(x_j,w_k) M_{w_k} T_{x_j} g * cell.
 
-    The quadrature cell is (x-step) * (frequency step); with F = stft(f, g) at
-    full stride this inverts the STFT up to the factor ||g||_2^2.  Only the
+    The quadrature cell is (x-step) * (frequency step); with F = stft(f, g)
+    this inverts the STFT up to the factor ||g||_2^2.  Only the
     runs of ``_row_runs(F)`` are summed, in slabs of ``_task_rows(N)`` rows,
     each in row order on a task of ``_each``, and the slab sums in slab
     order, so the result does not depend on the CPU count.  Each worker forms
@@ -406,11 +365,11 @@ def synthesis(F: SampledSymbol, g: SampledSignal) -> SampledSignal:
     pre-sign, which is exact, as s * s = 1 and a * (-v) = -(a * v).
     """
     grid = g.grid
-    stride = _symbol_stride(F, grid)
+    _check_lattice(F, grid)
     n = grid.N
     lazy = _forms_rows(F)
     slabs = list(_chunks(_row_runs(F), _task_rows(n)))
-    windows = _translates(g.samples)[n + n // 2 :: -stride][: F.x_grid.N]
+    windows = _translates(g.samples)[n + n // 2 : n // 2 : -1]
     s = _alternating(n)
     sums = np.empty((len(slabs), n), dtype=np.complex128)
 

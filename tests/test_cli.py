@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tfamalgam import cli, experiments, make_grid, norms, sample, transforms
-from tfamalgam.cli import ConfigError, RunConfig, build_config, main, render_csv, run, table_from_summary
+from tfamalgam.cli import ConfigError, RunConfig, build_config, main, render_csv, run
 from tfamalgam.families import SYMBOL_EVALUATORS, gaussian_family
 from tfamalgam.grid import make_signal, make_symbol, phase_space_symbol
 
@@ -26,7 +26,7 @@ def test_summary_regenerates_csv(tmp_path):
     out = tmp_path / "v"
     assert _run(["verify", "--out", str(out)]) == 0
     summary = json.loads((out / "verify_summary.json").read_text())
-    assert table_from_summary(summary) == (out / "verify.csv").read_text()
+    assert render_csv(summary["columns"], summary["records"]) == (out / "verify.csv").read_text()
     assert summary["command"] == "verify"
     assert {a["status"] for a in summary["assertions"]} == {"pass"}
     assert "versions" in summary

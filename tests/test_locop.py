@@ -28,7 +28,7 @@ from tfamalgam import (
 from tfamalgam.experiments import _suite_cases, random_bandlimited, random_tf_localized
 from tfamalgam.families import bump, chirp_family, gaussian_family, sharpness_symbol
 from tfamalgam import transforms
-from tfamalgam.transforms import stft
+from tfamalgam.transforms import _row_runs, _stft, stft, synthesis
 
 
 @pytest.fixture(scope="module")
@@ -149,25 +149,39 @@ def test_weak_pairing_shape_mismatch(grid128, unit_window, gauss_symbol, off_gri
         weak_pairing(gauss_symbol, unit_window, unit_window, f, g)
 
 
-def test_strided_symbol_consistency(grid128, unit_window):
-    """A symbol on a coarsened time lattice drives the same three routes."""
-    from tfamalgam.transforms import StftPlan, stft
+# grid128 is 8 x 16 (N = 128): each symbol below is off its phase-space lattice
+OFF_LATTICE = {
+    # every 4th time position: a 32 x 128 symbol
+    "time-sublattice": (make_grid(8, 4), make_grid(8, 16).dual),
+    # the phase space of a 16 x 8 grid, with the same N
+    "other-L": (make_grid(16, 8), make_grid(16, 8).dual),
+    # the right time grid, but a frequency grid of N samples that is not its dual
+    "not-the-dual": (make_grid(8, 16), make_grid(8, 16)),
+    # twice as many time positions: a 256 x 128 symbol
+    "time-superlattice": (make_grid(8, 32), make_grid(8, 16).dual),
+}
+OPERATOR_ROUTES = {
+    "synthesis": lambda a, w, f: synthesis(a, w),
+    "apply_locop": lambda a, w, f: apply_locop(a, w, w, f),
+    "weak_pairing": lambda a, w, f: weak_pairing(a, w, w, f, f),
+    "build_kernel": lambda a, w, f: build_kernel(a, w, w),
+    "build_kernel_direct": lambda a, w, f: build_kernel_direct(a, w, w),
+}
 
-    grid = grid128
-    plan = StftPlan(grid, 4)
-    sub = stft(unit_window, unit_window, plan)
-    a = make_symbol(
-        sub.x_grid,
-        sub.w_grid,
-        np.exp(-np.pi * (sub.x_grid.points[:, None] ** 2 + sub.w_grid.points[None, :] ** 2)),
-    )
-    f, g = _probe(grid, 21), _probe(grid, 22)
-    out = apply_locop(a, unit_window, unit_window, f)
-    assert abs(
-        inner_product(out, g) - weak_pairing(a, unit_window, unit_window, f, g)
-    ) <= 1e-12 * abs(inner_product(out, g))
-    K = build_kernel(a, unit_window, unit_window)
-    assert np.abs(kernel_action(K, f).samples - out.samples).max() <= 1e-10
+
+@pytest.mark.parametrize("route", sorted(OPERATOR_ROUTES))
+@pytest.mark.parametrize("lattice", sorted(OFF_LATTICE))
+def test_operators_reject_a_symbol_off_the_phase_space_lattice(grid128, unit_window, route, lattice):
+    x_grid, w_grid = OFF_LATTICE[lattice]
+    a = make_symbol(x_grid, w_grid, np.ones((x_grid.N, w_grid.N)))
+    with pytest.raises(ValueError, match="phase-space lattice"):
+        OPERATOR_ROUTES[route](a, unit_window, _probe(grid128))
+
+
+def test_apply_locop_rejects_windows_on_two_grids(grid128, unit_window, gauss_symbol):
+    other = standard_window(make_grid(16, 8))  # the same N on another box
+    with pytest.raises(ValueError, match="same grid"):
+        apply_locop(gauss_symbol, unit_window, other, _probe(grid128))
 
 
 # --- kernels -----------------------------------------------------------------
@@ -213,7 +227,7 @@ def test_kernel_compact_support():
 
 def test_schur_rank_one(grid128, phi):
     phi8 = standard_window(grid128)
-    K = KernelMatrix(grid128, np.outer(phi8.samples, phi8.samples), "rank-one")
+    K = KernelMatrix(grid128, np.outer(phi8.samples, phi8.samples))
     rep = schur_report(K)
     assert rep.c_sup_y == pytest.approx(1.0, abs=1e-8)  # ||phi||_1 * ||phi||_inf
     assert rep.c_sup_x == pytest.approx(1.0, abs=1e-8)
@@ -221,7 +235,7 @@ def test_schur_rank_one(grid128, phi):
 
 
 def test_schur_zero_kernel(grid128):
-    K = KernelMatrix(grid128, np.zeros((grid128.N, grid128.N)), "zero")
+    K = KernelMatrix(grid128, np.zeros((grid128.N, grid128.N)))
     rep = schur_report(K)
     assert (rep.c_sup_y, rep.c_sup_x, rep.amalgam_a, rep.amalgam_b) == (0, 0, 0, 0)
 
@@ -239,7 +253,7 @@ def test_schur_identity_symmetry(grid128, unit_window, ones_symbol):
 
 def test_opnorm_rank_one(grid128):
     phi8 = standard_window(grid128)
-    K = KernelMatrix(grid128, np.outer(phi8.samples, phi8.samples), "rank-one")
+    K = KernelMatrix(grid128, np.outer(phi8.samples, phi8.samples))
     assert opnorm_l2(K) == pytest.approx(2**-0.5, abs=1e-6)
 
 
@@ -263,19 +277,19 @@ def test_opnorm_odd_top_singular_vector(grid128):
     odd = np.where(t == t[0], 0.0, t) * np.exp(-np.pi * t**2)
     even, odd = even / np.linalg.norm(even), odd / np.linalg.norm(odd)
     h = grid128.h
-    K = KernelMatrix(grid128, (np.outer(even, even) + 3.0 * np.outer(odd, odd)) / h, "rank-two")
+    K = KernelMatrix(grid128, (np.outer(even, even) + 3.0 * np.outer(odd, odd)) / h)
     assert opnorm_l2(K) == pytest.approx(np.linalg.norm(h * K.entries, 2), rel=1e-6)
 
 
 def test_opnorm_zero(grid128):
-    K = KernelMatrix(grid128, np.zeros((grid128.N, grid128.N)), "zero")
+    K = KernelMatrix(grid128, np.zeros((grid128.N, grid128.N)))
     assert opnorm_l2(K) == 0.0
 
 
 def test_opnorm_nonconvergence_reports(grid128, monkeypatch):
     monkeypatch.setattr(locop, "_POWER_ITER_CAP", 3)
     rng = np.random.default_rng(20)
-    K = KernelMatrix(grid128, rng.standard_normal((grid128.N, grid128.N)), "noise")
+    K = KernelMatrix(grid128, rng.standard_normal((grid128.N, grid128.N)))
     with pytest.raises(RuntimeError, match="iterations"):
         opnorm_l2(K)
 
@@ -349,45 +363,40 @@ def _chirped_symbol(x, w):
     return np.exp(-np.pi * (x**2 + 0.5 * w**2)) * np.exp(1j * (x + 0.3 * w))
 
 
-def _strided_symbol(grid, stride):
-    """The complex symbol sampled on every ``stride``-th time position of ``grid``."""
-    x_grid = make_grid(grid.L, grid.m // stride)
-    values = _chirped_symbol(x_grid.points[:, None], grid.dual.points[None, :])
-    return make_symbol(x_grid, grid.dual, values)
+def _kernel_case(name):
+    """(symbol, phi1, phi2): a complex symbol with two Gaussian windows, or a case the verify battery builds."""
+    if name.startswith("chirped"):
+        g = make_grid(4, 8) if name.endswith("N32") else make_grid(8, 16)
+        return phase_space_symbol(g, _chirped_symbol), sample(gaussian_family(1.0), g), sample(gaussian_family(2.5), g)
+    return next(case[1:] for case in _suite_cases(make_grid(4, 8)) if case[0] == name)
 
 
 @pytest.mark.filterwarnings("ignore::tfamalgam.TailTruncationWarning")
-@pytest.mark.parametrize("stride", [1, 2, 4])
-@pytest.mark.parametrize("L, m", [(4, 8), (8, 16)], ids=["N32", "N128"])
-def test_fft_kernel_matches_direct_sum_on_strides(L, m, stride):
-    g = make_grid(L, m)
-    w1 = sample(gaussian_family(1.0), g)
-    w2 = sample(gaussian_family(2.5), g)
-    a = _strided_symbol(g, stride)
-    K = build_kernel(a, w1, w2)
-    Kd = build_kernel_direct(a, w1, w2)
-    assert K.provenance == f"stride={stride}"
-    assert np.abs(K.entries - Kd.entries).max() <= 1e-10
+@pytest.mark.parametrize(
+    "case", ["chirped-N32", "chirped-N128", "gaussian-symbol", "unit-symbol", "cube-indicator", "sharpness-symbol"]
+)
+def test_fft_kernel_matches_direct_sum(case):
+    a, w1, w2 = _kernel_case(case)
+    K = build_kernel(a, w1, w2).entries
+    Kd = build_kernel_direct(a, w1, w2).entries
+    assert np.abs(K - Kd).max() <= 1e-10
+    assert (K[Kd == 0.0] == 0.0).all()
 
 
-@pytest.mark.parametrize("stride", [1, 4])
-def test_fft_kernel_action_matches_apply_locop_n512(stride):
+def test_fft_kernel_action_matches_apply_locop_n512():
     g = make_grid(16, 32)
     phi = standard_window(g)
-    a = _strided_symbol(g, stride)
-    f = random_tf_localized(g, 4.0, np.random.default_rng(stride))
+    a = phase_space_symbol(g, _chirped_symbol)
+    f = random_tf_localized(g, 4.0, np.random.default_rng(1))
     lhs = kernel_action(build_kernel(a, phi, phi), f).samples
     rhs = apply_locop(a, phi, phi, f).samples
     assert np.abs(lhs - rhs).max() <= 1e-10 * np.abs(rhs).max()
 
 
-@pytest.mark.parametrize("stride", [1, 2])
-def test_fft_kernel_is_exactly_zero_outside_the_support(stride):
+def test_fft_kernel_is_exactly_zero_outside_the_support():
     g = make_grid(8, 16)
     w = sample(bump(0.0, 1.0), g)
-    full = sharpness_symbol(bump(0.0, 1.0), 2.0, g)
-    a = make_symbol(make_grid(g.L, g.m // stride), full.w_grid, full.samples[::stride])
-    K = build_kernel(a, w, w).entries
+    K = build_kernel(sharpness_symbol(bump(0.0, 1.0), 2.0, g), w, w).entries
     X, Y = np.meshgrid(g.points, g.points, indexing="ij")
     outside = np.abs(X - Y) >= 2.0
     assert outside.any() and not (K[~outside] == 0.0).all()
@@ -407,15 +416,13 @@ def test_fft_kernel_peak_allocation_n1024():
     assert peak <= 6 * g.N**2 * 16
 
 
-@pytest.mark.parametrize("stride", [1, 4])
-def test_apply_locop_holds_at_most_two_symbol_sized_arrays(stride):
+def test_apply_locop_holds_at_most_two_symbol_sized_arrays():
     # synthesis forms the weighted STFT one slab of rows at a time, so neither
     # the STFT nor the weighted symbol is ever held whole
     g = make_grid(4, 256)
     phi = standard_window(g)
-    x_grid = make_grid(4, 256 // stride)
     rng = np.random.default_rng(0)
-    a = make_symbol(x_grid, g.dual, rng.standard_normal((x_grid.N, g.N)))
+    a = make_symbol(g, g.dual, rng.standard_normal((g.N, g.N)))
     f = make_signal(g, rng.standard_normal(g.N))
     tracemalloc.start()
     try:
@@ -423,7 +430,7 @@ def test_apply_locop_holds_at_most_two_symbol_sized_arrays(stride):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * x_grid.N * g.N * 16
+    assert peak <= 2.5 * g.N * g.N * 16
 
 
 @pytest.mark.parametrize(("grid", "bound"), [(make_grid(4, 256), 1.6), (make_grid(8, 128), 1.3)])
@@ -505,8 +512,8 @@ def test_weak_pairing_is_the_sum_of_symbol_times_stft_times_conjugate(dense):
     a, w1, w2, f, g = _pairing_inputs(grid)
     if dense:
         a = make_symbol(a.x_grid, a.w_grid, a.samples)
-    plan = locop._symbol_rows_plan(a, w1, w2)
-    v1, v2 = stft(f, w1, plan).samples, stft(g, w2, plan).samples
+    runs = _row_runs(a)
+    v1, v2 = _stft(f, w1, runs).samples, _stft(g, w2, runs).samples
     want = complex(a.cell * np.sum(a.samples * v1 * np.conj(v2)))
     assert weak_pairing(a, w1, w2, f, g) == want
     assert want != 0.0
@@ -520,18 +527,46 @@ def test_weak_pairing_applies_no_column_sign(monkeypatch, dense):
     a, w1, w2, f, g = _pairing_inputs(grid)
     if dense:
         a = make_symbol(a.x_grid, a.w_grid, a.samples)
-    plan = locop._symbol_rows_plan(a, w1, w2)
-    v1, v2 = stft(f, w1, plan).samples, stft(g, w2, plan).samples
+    runs = _row_runs(a)
+    v1, v2 = _stft(f, w1, runs).samples, _stft(g, w2, runs).samples
     want = complex(a.cell * np.sum(a.samples * v1 * np.conj(v2)))
 
-    def nan_signed(*args):
-        v = stft(*args)
-        v.__dict__["sign"] = np.full_like(v.sign, np.nan)
-        return v
+    def nan_signed(transform):
+        def signed(*args):
+            v = transform(*args)
+            v.__dict__["sign"] = np.full_like(v.sign, np.nan)
+            return v
 
-    monkeypatch.setattr(locop, "stft", nan_signed)
+        return signed
+
+    monkeypatch.setattr(locop, "stft", nan_signed(stft))
+    monkeypatch.setattr(locop, "_stft", nan_signed(_stft))
     assert weak_pairing(a, w1, w2, f, g) == want
     assert want != 0.0
+
+
+@pytest.mark.parametrize("route", ["apply_locop", "weak_pairing"])
+def test_operators_form_no_stft_row_where_the_symbol_vanishes(monkeypatch, route):
+    # the sharpness symbol is zero outside supp h: half the rows on this grid
+    grid = make_grid(4, 64)
+    a, w1, w2, f, g = _pairing_inputs(grid)
+    formed = np.zeros(grid.N, dtype=int)
+    fill = transforms._StftSymbol._fill_rows
+
+    def counted(self, rows, out):
+        formed[rows] += 1
+        fill(self, rows, out)
+
+    monkeypatch.setattr(transforms._StftSymbol, "_fill_rows", counted)
+    if route == "apply_locop":
+        apply_locop(a, w1, w2, f)
+    else:
+        weak_pairing(a, w1, w2, f, g)
+    inside = np.zeros(grid.N, dtype=bool)
+    for start, stop in _row_runs(a):
+        inside[start:stop] = True
+    assert not inside.all() and not formed[~inside].any()
+    assert (formed[inside] == (1 if route == "apply_locop" else 2)).all()
 
 
 def test_weak_pairing_holds_its_two_stfts_and_no_other_symbol_sized_array():

@@ -25,8 +25,7 @@ from tfamalgam import (
 )
 from tfamalgam.families import bump, chirp_family, chirped_gaussian, gaussian_family
 from tfamalgam.grid import as_exponent
-from tfamalgam.norms import NORM_ARITY, _cube_table
-from tfamalgam.transforms import StftPlan
+from tfamalgam.norms import _BLOCK, NORM_ARITY, _cube_table
 
 LATTICE = ("1", "4/3", "2", "4", "inf")
 PAIRS = list(itertools.product(LATTICE, repeat=2))
@@ -59,19 +58,22 @@ def _reference_norms(f, p, q):
 
 
 def _multi_block_inputs():
-    # a 4096-sample signal, its STFT on a stride-16 time lattice (256 x 4096:
-    # runs of rows within one row of cubes), and a 512 x 512 symbol (several
+    # a 1024-sample signal, its 1024 x 1024 STFT (blocks of 64 rows: runs of
+    # rows within one row of cubes of 128), and a 512 x 512 symbol (several
     # rows of cubes per block)
-    grid = make_grid(8, 512)
+    grid = make_grid(8, 128)
     f = sample(chirped_gaussian(2.0, 3.0), grid)
-    v = stft(f, standard_window(grid), StftPlan(grid, 16))
+    v = stft(f, standard_window(grid))
     wide = phase_space_symbol(make_grid(32, 16), lambda x, w: np.exp(-np.pi * (x**2 + w**2 / 4)))
     return f, v, wide
 
 
 @pytest.fixture(scope="module")
 def multi_block():
-    return _multi_block_inputs()
+    f, v, wide = _multi_block_inputs()
+    assert _BLOCK // v.w_grid.N < v.x_grid.m  # rows per block < rows per cube
+    assert _BLOCK // (wide.x_grid.m * wide.w_grid.N) > 1  # rows of cubes per block
+    return f, v, wide
 
 
 def test_tables_match_single_pass_reference(multi_block):

@@ -24,7 +24,7 @@ from tfamalgam import (
 from tfamalgam.families import bump, chirp_family, chirped_gaussian
 from tfamalgam.grid import as_exponent
 from tfamalgam.norms import _BLOCK, _cube_table, partition_window
-from tfamalgam.transforms import StftPlan, idft_centered
+from tfamalgam.transforms import idft_centered
 
 LATTICE = ("1", "4/3", "2", "4", "inf")
 PAIRS = list(itertools.product(LATTICE, repeat=2))
@@ -76,10 +76,11 @@ def _amalgam_rows(rows, grid, p, q):
 
 
 def _large_symbols():
-    # a 256 x 4096 STFT on a stride-16 time lattice and a 512 x 512 symbol:
-    # both hold more than _BLOCK samples, so every row and column view is blocked
-    grid = make_grid(8, 512)
-    v = stft(sample(chirped_gaussian(2.0, 3.0), grid), standard_window(grid), StftPlan(grid, 16))
+    # a 1024 x 1024 STFT (blocks of 64 rows within rows of cubes of 128) and a
+    # 512 x 512 symbol: both hold more than _BLOCK samples, so every row and
+    # column view is blocked
+    grid = make_grid(8, 128)
+    v = stft(sample(chirped_gaussian(2.0, 3.0), grid), standard_window(grid))
     wide = phase_space_symbol(
         make_grid(32, 16), lambda x, w: np.exp(-np.pi * (x**2 + w**2 / 4) + 2j * np.pi * x * w)
     )
@@ -89,7 +90,9 @@ def _large_symbols():
 @pytest.fixture(scope="module")
 def large_symbols():
     symbols = _large_symbols()
-    assert all(a.samples.size > _BLOCK for a in symbols)
+    v = symbols[0]
+    assert _BLOCK // v.w_grid.N < v.x_grid.m  # rows per block < rows per cube
+    assert all(a.x_grid.N * a.w_grid.N > _BLOCK for a in symbols)
     return symbols
 
 

@@ -20,10 +20,12 @@ from tfamalgam.families import bump, chirp_family, gaussian_family, sharpness_sy
 from tfamalgam.grid import as_exponent, make_grid, make_signal, make_symbol, phase_space_symbol, sample
 from tfamalgam.locop import apply_locop
 from tfamalgam.norms import _cube_table, _fill_cube_tables, standard_window
-from tfamalgam.transforms import StftPlan, _each, _nonzero_row_runs, dft_centered, idft_centered, stft, synthesis
+from tfamalgam.transforms import _each, _nonzero_row_runs, _stft, dft_centered, idft_centered, stft, synthesis
 
 EXPONENTS = [as_exponent(p) for p in ("1", "4/3", "2", "4", "inf")]
 GRID = make_grid(4, 32)  # N = 128: the STFT has 4 rows of cubes of 4096 samples
+# N = 64: a row task of small_bands holds 2 rows here, and 1 on GRID
+GRIDS = pytest.mark.parametrize("grid", [GRID, make_grid(4, 16)], ids=["N128", "N64"])
 # a profile with no zero sample on the grids below, so every row of its symbol is formed
 NOWHERE_ZERO = families.WindowSpec(gaussian_family(16.0).evaluator, support_radius=2.0)
 
@@ -216,16 +218,16 @@ def test_centered_fft_is_bit_identical_for_any_worker_count(monkeypatch, task, t
         assert np.array_equal(transform(values.real, 16), np.array([transform(row, 16) for row in values.real]))
 
 
-@pytest.mark.parametrize("stride", [1, 2])
+@GRIDS
 @pytest.mark.parametrize("rows", [None, ((0, 5), (9, 40), (50, 64))])
-def test_stft_is_bit_identical_for_any_worker_count(small_bands, stride, rows):
-    f = sample(chirp_family(bump(0.0, 1.0), 3.0), GRID)
-    g = standard_window(GRID)
-    plan = StftPlan(GRID, stride, rows)
+def test_stft_is_bit_identical_for_any_worker_count(small_bands, grid, rows):
+    f = sample(chirp_family(bump(0.0, 1.0), 3.0), grid)
+    g = standard_window(grid)
+    rows = rows or ((0, grid.N),)
     small_bands(1)
-    serial = stft(f, g, plan).samples
+    serial = _stft(f, g, rows).samples
     small_bands(2)
-    threaded = stft(f, g, plan).samples
+    threaded = _stft(f, g, rows).samples
     assert np.array_equal(serial, threaded)
     assert np.abs(threaded).max() > 0.0
 
@@ -380,9 +382,9 @@ def test_sharpness_symbol_of_a_profile_that_is_nowhere_zero():
     assert np.array_equal(sharpness_symbol(NOWHERE_ZERO, 1.0, grid).samples, np.outer(h, freq))
 
 
-def _gapped_stft(stride):
+def _gapped_stft(grid):
     """An STFT with runs of zero rows, isolated zero rows and a nonzero row at each end."""
-    v = stft(sample(chirp_family(bump(0.0, 1.0), 3.0), GRID), standard_window(GRID), StftPlan(GRID, stride))
+    v = stft(sample(chirp_family(bump(0.0, 1.0), 3.0), grid), standard_window(grid))
     samples = v.samples.copy()
     samples[3:11] = 0.0
     samples[20::7] = 0.0
@@ -390,11 +392,11 @@ def _gapped_stft(stride):
     return make_symbol(v.x_grid, v.w_grid, samples)
 
 
-@pytest.mark.parametrize("stride", [1, 2])
-def test_synthesis_is_bit_identical_for_any_worker_count(small_bands, stride):
-    # a slab holds 4 rows here, so the runs at either stride span many slabs per worker
-    v = _gapped_stft(stride)
-    g = sample(bump(0.0, 1.0), GRID)
+@GRIDS
+def test_synthesis_is_bit_identical_for_any_worker_count(small_bands, grid):
+    # a slab holds 4 rows at N = 128 and 8 at N = 64, so the runs span many slabs per worker
+    v = _gapped_stft(grid)
+    g = sample(bump(0.0, 1.0), grid)
     small_bands(1)
     serial = synthesis(v, g).samples
     small_bands(2)
@@ -497,16 +499,15 @@ def test_synthesis_holds_no_block_of_the_symbol(monkeypatch):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize(("stride", "rows"), [(1, None), (2, ((3, 21), (25, 60)))])
-def test_synthesis_of_an_unformed_stft_equals_it_of_the_dense_copy(small_bands, workers, stride, rows):
+@pytest.mark.parametrize("rows", [((0, GRID.N),), ((3, 21), (25, 60))], ids=["all-rows", "two-runs"])
+def test_synthesis_of_an_unformed_stft_equals_it_of_the_dense_copy(small_bands, workers, rows):
     # the lazy STFT's slabs cut the runs of its rows, as the dense copy's cut its
     # nonzero runs: the same slabs, so the same sums, and the STFT is never
     # formed; its post-sign is synthesis's pre-sign, so neither is applied
     small_bands(workers)
     f, g = sample(chirp_family(bump(0.0, 1.0), 3.0), GRID), standard_window(GRID)
-    plan = StftPlan(GRID, stride, rows)
-    v = _nan_signed(stft(f, g, plan))
-    dense = stft(f, g, plan).samples
+    v = _nan_signed(_stft(f, g, rows))
+    dense = _stft(f, g, rows).samples
     out = synthesis(v, g).samples
     assert not v.formed
     assert np.array_equal(out, synthesis(make_symbol(v.x_grid, v.w_grid, dense), g).samples)
@@ -533,13 +534,13 @@ def test_synthesis_of_a_lazy_symbol_sums_a_zero_row_inside_its_runs(small_bands,
     # zero row where the dense copy's slabs split at it, so the sums regroup
     small_bands(workers)
     rng = np.random.default_rng(3)
-    samples = rng.standard_normal((GRID.N, GRID.N)) + 1j * rng.standard_normal((GRID.N, GRID.N))
-    samples[9] = 0.0
-    a = make_symbol(GRID, GRID.dual, samples)
+    h, freq = (rng.standard_normal(GRID.N) + 1j * rng.standard_normal(GRID.N) for _ in range(2))
+    h[9] = 0.0
+    a = families._SeparableSymbol._of(GRID, GRID.dual, rows=((0, GRID.N),), h=h, freq=freq)
     f, g = sample(chirp_family(bump(0.0, 1.0), 3.0), GRID), standard_window(GRID)
-    plan = StftPlan(GRID, rows=((0, GRID.N),))
-    F = locop._weighted_stft(a, f, g, plan)
-    dense = locop._weighted_stft(a, f, g, plan).samples
+    F = locop._weighted_stft(a, f, g)
+    dense = locop._weighted_stft(a, f, g).samples
+    assert F.rows == ((0, GRID.N),)
     assert _nonzero_row_runs(dense) == ((0, 9), (10, GRID.N))
     out = synthesis(F, g).samples
     want = synthesis(make_symbol(GRID, GRID.dual, dense), g).samples
@@ -583,19 +584,18 @@ def test_apply_locop_is_bit_identical_for_any_worker_count(small_bands):
     assert np.abs(threaded).max() > 0.0
 
 
-def _dense_operator(stride):
+def _dense_operator(grid):
     # a random symbol with zero rows, so its runs end part-way through a slab
-    x_grid = make_grid(GRID.L, GRID.m // stride)
     rng = np.random.default_rng(13)
-    samples = rng.standard_normal((x_grid.N, GRID.N)) + 1j * rng.standard_normal((x_grid.N, GRID.N))
+    samples = rng.standard_normal((grid.N, grid.N)) + 1j * rng.standard_normal((grid.N, grid.N))
     samples[5:7] = 0.0
     samples[-3:] = 0.0
-    f = make_signal(GRID, rng.standard_normal(GRID.N) + 1j * rng.standard_normal(GRID.N))
-    return make_symbol(x_grid, GRID.dual, samples), standard_window(GRID), f
+    f = make_signal(grid, rng.standard_normal(grid.N) + 1j * rng.standard_normal(grid.N))
+    return make_symbol(grid, grid.dual, samples), standard_window(grid), f
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("operator", ["separable", "dense", "dense at stride 4"])
+@pytest.mark.parametrize("operator", ["separable", "dense", "dense at N = 64"])
 def test_streamed_operator_equals_synthesis_of_the_dense_weighted_stft(monkeypatch, small_bands, workers, operator):
     # the slabs synthesis forms of a . V are the rows of the dense product a * V,
     # bit for bit, with product blocks and slabs that end part-way; a . V
@@ -604,10 +604,10 @@ def test_streamed_operator_equals_synthesis_of_the_dense_weighted_stft(monkeypat
     if operator == "separable":
         a, window, f = _sharpness_operator()
     else:
-        a, window, f = _dense_operator(4 if operator.endswith("4") else 1)
+        a, window, f = _dense_operator(make_grid(4, 16) if operator.endswith("64") else GRID)
     monkeypatch.setattr(locop, "stft", lambda *args: _nan_signed(stft(*args)))
     out = apply_locop(a, window, window, f).samples
-    v = stft(f, window, StftPlan(GRID, GRID.m // a.x_grid.m)).samples
+    v = stft(f, window).samples
     assert np.array_equal(out, synthesis(make_symbol(a.x_grid, a.w_grid, a.samples * v), window).samples)
     assert np.abs(out).max() > 0.0
 
@@ -674,7 +674,7 @@ def test_sharpness_symbol_is_bit_identical_for_any_worker_count(small_bands, gri
 
 
 def test_nonzero_row_runs_are_the_same_for_any_worker_count(small_bands):
-    samples = _gapped_stft(1).samples
+    samples = _gapped_stft(GRID).samples
     nonzero = [bool(row.any()) for row in samples]
     want = []
     for i, keep in enumerate(nonzero):

@@ -19,21 +19,39 @@ from tfamalgam import families, norms, transforms
 from tfamalgam.families import bump, chirp_family, gaussian_family, sharpness_symbol
 from tfamalgam.grid import SampledSymbol, as_exponent, make_grid, make_signal, make_symbol, sample
 from tfamalgam.norms import _fill_cube_tables, _roots, amalgam_norm, lp_norm, mixed_lplq, mixed_lpq, standard_window
-from tfamalgam.transforms import StftPlan, stft
+from tfamalgam.transforms import _stft, stft
 
 EXPONENTS = [as_exponent(p) for p in ("1", "4/3", "2", "4", "inf")]
 RUNS = ((0, 5), (9, 40), (50, 64))
 
-# (grid, _BLOCK, _TASK_ELEMENTS): the block shapes each setting makes at full stride
+# (grid, _BLOCK, _TASK_ELEMENTS, (rows of cubes per block, rows per block)):
+# the block shapes each setting makes, asserted by ``_set_layout``
 LAYOUTS = {
     # rows of cubes of 8 x 128 samples: blocks of 3 whole rows of cubes, tasks of 4,
     # so every task ends in a block of 1
-    "band > 1": (make_grid(16, 8), 3 << 10, 1 << 12),
+    "band > 1": (make_grid(16, 8), 3 << 10, 1 << 12, (3, 8)),
+    # rows of cubes of 8 x 256 samples: blocks of 5 whole rows of cubes, the last of 2
+    "band > 1, short last band": (make_grid(32, 8), 5 << 11, 1 << 12, (5, 8)),
     # blocks of one whole row of cubes of 8 x 128 samples, two per task
-    "band = 1": (make_grid(16, 8), 1 << 10, 1 << 11),
+    "band = 1": (make_grid(16, 8), 1 << 10, 1 << 11, (1, 8)),
+    # blocks of two whole rows of cubes of 8 x 256 samples
+    "band = 2": (make_grid(32, 8), 1 << 12, 1 << 11, (2, 8)),
     # rows of cubes of 32 x 128 samples in blocks of 3 rows: 32 = 10 * 3 + 2
-    "short last step": (make_grid(4, 32), 3 << 7, 1 << 13),
+    "short last step": (make_grid(4, 32), 3 << 7, 1 << 13, (1, 3)),
+    # rows of cubes of 16 x 128 samples in blocks of 3 rows: 16 = 5 * 3 + 1
+    "last step of 1": (make_grid(8, 16), 3 << 7, 1 << 13, (1, 3)),
 }
+
+
+def _set_layout(monkeypatch, layout, workers):
+    """Patch the block and task sizes of ``layout``, check the blocks it stands for and return its grid."""
+    grid, block, task, shape = LAYOUTS[layout]
+    # as norms._tile_reduce cuts the N x N table of an STFT on ``grid``
+    assert (max(1, block // (grid.m * grid.N)), min(grid.m, max(1, block // grid.N))) == shape
+    monkeypatch.setattr(norms, "_BLOCK", block)
+    monkeypatch.setattr(transforms, "_TASK_ELEMENTS", task)
+    monkeypatch.setattr(transforms, "_workers", lambda: workers)
+    return grid
 
 
 def _signal(grid, amplitude=1.0):
@@ -54,14 +72,10 @@ def _streamed_then_dense(v, exponents=EXPONENTS):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("stride", [1, 2])
 @pytest.mark.parametrize("layout", sorted(LAYOUTS))
-def test_streamed_tables_equal_the_dense_tables(monkeypatch, layout, stride, workers):
-    grid, block, task = LAYOUTS[layout]
-    monkeypatch.setattr(norms, "_BLOCK", block)
-    monkeypatch.setattr(transforms, "_TASK_ELEMENTS", task)
-    monkeypatch.setattr(transforms, "_workers", lambda: workers)
-    v = stft(_signal(grid), standard_window(grid), StftPlan(grid, stride))
+def test_streamed_tables_equal_the_dense_tables(monkeypatch, layout, workers):
+    grid = _set_layout(monkeypatch, layout, workers)
+    v = stft(_signal(grid), standard_window(grid))
     streamed, dense = _streamed_then_dense(v)
     for p, got, want in zip(EXPONENTS, streamed, dense):
         assert np.array_equal(got, want), p
@@ -69,13 +83,10 @@ def test_streamed_tables_equal_the_dense_tables(monkeypatch, layout, stride, wor
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_streamed_tables_of_a_plan_rows_stft(monkeypatch, workers):
+def test_streamed_tables_of_a_row_restricted_stft(monkeypatch, workers):
     # runs that start and stop inside rows of cubes, and blocks that straddle their gaps
-    grid, block, task = LAYOUTS["short last step"]
-    monkeypatch.setattr(norms, "_BLOCK", block)
-    monkeypatch.setattr(transforms, "_TASK_ELEMENTS", task)
-    monkeypatch.setattr(transforms, "_workers", lambda: workers)
-    v = stft(_signal(grid), standard_window(grid), StftPlan(grid, 2, RUNS))
+    grid = _set_layout(monkeypatch, "short last step", workers)
+    v = _stft(_signal(grid), standard_window(grid), RUNS)
     streamed, dense = _streamed_then_dense(v)
     for got, want in zip(streamed, dense):
         assert np.array_equal(got, want)
@@ -95,10 +106,7 @@ def test_streamed_tables_stay_finite_and_homogeneous_at_extreme_amplitudes(monke
     # |x|^2 and |x|^4 leave the float range here, so p = 2, 4 take the rescaled
     # path, which forms the rows again; a worker without the caller's
     # np.errstate warns, and the RuntimeWarning fails the test
-    grid, block, task = LAYOUTS["short last step"]
-    monkeypatch.setattr(norms, "_BLOCK", block)
-    monkeypatch.setattr(transforms, "_TASK_ELEMENTS", task)
-    monkeypatch.setattr(transforms, "_workers", lambda: 2)
+    grid = _set_layout(monkeypatch, "short last step", 2)
     window = standard_window(grid)
     base = _fill_cube_tables(stft(_signal(grid), window), EXPONENTS)
     v = stft(_signal(grid, amplitude), window)
@@ -159,17 +167,17 @@ def test_norms_read_no_sample_on_a_memo_hit():
     assert values == [(amalgam_norm(dense, p, "2"), lp_norm(dense, p)) for p in EXPONENTS]
 
 
-def _eager_stft(f, g, plan):
+def _eager_stft(f, g, rows):
     """The STFT as a filled array: each run of rows signed, windowed, transformed and signed."""
     grid = f.grid
-    n, nx = grid.N, plan.shape[0]
+    n = grid.N
     t = np.arange(n)
     s = np.where(t % 2, -1.0, 1.0)
     fs = f.samples * (s * ((-1.0 if (n // 2) % 2 else 1.0) / grid.m))
-    shifts = np.arange(nx)[:, None] * plan.x_stride - n // 2
+    shifts = np.arange(n)[:, None] - n // 2
     windows = np.conj(g.samples)[(t[None, :] - shifts) % n]
-    out = np.zeros((nx, n), dtype=np.complex128)
-    for start, stop in plan.rows or ((0, nx),):
+    out = np.zeros((n, n), dtype=np.complex128)
+    for start, stop in rows or ((0, n),):
         block = out[start:stop]
         np.multiply(fs, windows[start:stop], out=block)
         np.fft.fft(block, axis=-1, out=block)
@@ -177,21 +185,20 @@ def _eager_stft(f, g, plan):
     return out
 
 
-@pytest.mark.parametrize(("stride", "rows"), [(1, None), (2, None), (2, RUNS)])
-def test_lazy_samples_equal_the_eager_fill(stride, rows):
+@pytest.mark.parametrize("rows", [None, RUNS], ids=["all-rows", "runs"])
+def test_lazy_samples_equal_the_eager_fill(rows):
     grid = make_grid(4, 32)
     f, g = _signal(grid), standard_window(grid)
-    plan = StftPlan(grid, stride, rows)
-    v = stft(f, g, plan)
+    v = stft(f, g) if rows is None else _stft(f, g, rows)
     assert not v.formed
-    assert np.array_equal(v.samples, _eager_stft(f, g, plan))
+    assert np.array_equal(v.samples, _eager_stft(f, g, rows))
     assert v.formed and not v.samples.flags.writeable
 
 
 @pytest.mark.parametrize(
     "symbol",
     [
-        lambda grid: stft(_signal(grid), standard_window(grid), StftPlan(grid, 2, RUNS)),
+        lambda grid: _stft(_signal(grid), standard_window(grid), RUNS),
         lambda grid: sharpness_symbol(bump(0.0, 1.0), 3.0, grid),
     ],
     ids=["stft", "sharpness"],

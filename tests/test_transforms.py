@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from tfamalgam import (
-    StftPlan,
     fourier,
     gaussian_stft_oracle,
     gaussian_stft_symbol,
@@ -109,16 +108,6 @@ def test_stft_shift_covariance(grid16, phi, noisy):
     assert np.abs(np.abs(V1) - np.abs(shifted)).max() < 1e-12
 
 
-def test_stft_plan_stride(grid16, phi):
-    plan = StftPlan(grid16, x_stride=4)
-    V = stft(phi, phi, plan)
-    assert V.samples.shape == (grid16.N // 4, grid16.N)
-    full = stft(phi, phi)
-    assert np.allclose(V.samples, full.samples[::4])
-    with pytest.raises(ValueError):
-        StftPlan(grid16, x_stride=5)  # does not divide m
-
-
 def test_stft_grid_mismatch(phi):
     other = sample(gaussian_family(1.0), make_grid(8, 16))
     with pytest.raises(ValueError):
@@ -168,15 +157,14 @@ def test_synthesis_zero(grid16, phi):
     assert np.all(synthesis(F, phi).samples == 0)
 
 
-def test_synthesis_adjoint_strided():
+def test_synthesis_adjoint_on_stfts():
     g = make_grid(8, 16)
     phi8 = sample(gaussian_family(1.0), g)
     f = _rand_signal(g, 5)
     h = _rand_signal(g, 6)
-    plan = StftPlan(g, 4)
-    F = stft(f, phi8, plan)
+    F = stft(f, phi8)
     lhs = inner_product(synthesis(F, phi8), h)
-    Vh = stft(h, phi8, plan)
+    Vh = stft(h, phi8)
     rhs = F.cell * np.sum(F.samples * np.conj(Vh.samples))
     assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
 
@@ -266,15 +254,14 @@ def test_domination_near_orthogonal(grid16, phi):
         window_domination_check(phi, phi, phi, odd)
 
 
-@pytest.mark.parametrize("stride", [1, 4])
-def test_stft_and_synthesis_match_literal_gather_over_chunks(stride):
-    # at stride 1, N = 2048 runs the row loop over 16 slabs of _TASK_ELEMENTS;
+def test_stft_and_synthesis_match_literal_gather_over_chunks():
+    # N = 2048 runs the row loop over 16 slabs of _TASK_ELEMENTS;
     # the reference gathers every window by index and transforms out of place
     grid = make_grid(16, 128)
     n = grid.N
     f = _rand_signal(grid, seed=3)
     g = make_signal(grid, np.exp(-np.pi * grid.points**2) * (1 + 0.5j * np.sin(grid.points)))
-    V = stft(f, g, StftPlan(grid, stride))
+    V = stft(f, g)
     t = np.arange(n)
     s = np.where(t % 2, -1.0, 1.0)
     sign = -1.0 if (n // 2) % 2 else 1.0
@@ -282,8 +269,8 @@ def test_stft_and_synthesis_match_literal_gather_over_chunks(stride):
     want_v = np.empty_like(V.samples)
     profiles = (sign * n / V.w_grid.m) * (s * np.fft.ifft(V.samples * s, axis=-1))
     want_s = np.zeros(n, dtype=np.complex128)
-    for start in range(0, n // stride, block):
-        shifts = np.arange(start, min(start + block, n // stride)) * stride - n // 2
+    for start in range(0, n, block):
+        shifts = np.arange(start, min(start + block, n)) - n // 2
         idx = (t[None, :] - shifts[:, None]) % n
         # named so that numpy keeps the operand order (it may swap it to reuse a temporary)
         conj_windows, windows = np.conj(g.samples)[idx], g.samples[idx]
