@@ -28,9 +28,10 @@ and 1024, the calls that take most of the ``point-queries`` workload are
 timed on its (16, N/16) grids, each layer name ending in ``L=16``:
 ``stft`` with the read of its samples, ``mixed_lpq`` of an unformed STFT,
 whose rows the reduction forms, ``symbol_mixed_norm``, ``apply_locop`` of
-a sharpness symbol and ``modulation_norm_triebel``.  Each layer
-is called 5 times, each on a fresh frozen input, so the cube-table memo of
-the norms cannot hide their cost; the record holds the best time and,
+a sharpness symbol and ``modulation_norm_triebel``.  Each layer is called
+5 times, each on a fresh input, so no cube table kept from an earlier call
+can hide their cost (an unformed lazy symbol keeps its tables, and so may
+more inputs of a ``--root`` checkout); the record holds the best time and,
 next to it, the spread (slowest minus fastest), which bounds the noise
 in a delta between two records.  One more, untimed call of each layer,
 after the timed ones, runs under ``tracemalloc``: its peak, in MiB above
@@ -150,7 +151,7 @@ def layer_timings(sizes=LAYER_SIZES, kernel_sizes=KERNEL_SIZES, repeats: int = R
         bump_window = sample(bump(0.0, 1.0), locop_grid)
         lam = min(16.0, max_alias_free_lambda(locop_grid, 1.0))
 
-        # every input is built afresh outside the timer: a new frozen object has no memo
+        # every input is built afresh outside the timer: a new object keeps no cube table
         def signal():
             return make_signal(grid, f.samples.copy())
 

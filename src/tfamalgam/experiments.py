@@ -364,6 +364,9 @@ def scan_locop(points, settings: LocopScanSettings | None = None) -> list[Region
     lams = _guarded(settings.lambdas, grid)
     window = WINDOWS[settings.window](grid)
     h = sample(UNIT_BUMP, grid)  # also the cutoff chi of the operator output
+    # the ratios share their factors: each distinct norm is taken once
+    qs, rs = {q for q, _ in pts}, set(r_effs)
+    h_norms = {q: lp_norm(h, q) for q in qs}
     values = np.empty((len(pts), len(lams)))
     for li, lam in enumerate(lams):
         h_lam = sample(chirp_family(UNIT_BUMP, lam), grid)
@@ -371,8 +374,11 @@ def scan_locop(points, settings: LocopScanSettings | None = None) -> list[Region
         out = apply_locop(sharpness_symbol(UNIT_BUMP, lam, grid), window, window, f)
         chi_af = make_signal(grid, h.samples * out.samples)
         w = inverse_fourier(h_lam)
+        w_norms = {q: lp_norm(w, q) for q in qs}
+        f_norms = {r: lp_norm(f, r) for r in rs}
+        chi_norms = {r: lp_norm(chi_af, r) for r in rs}
         for pi, ((q, _), r_eff) in enumerate(zip(pts, r_effs)):
-            values[pi, li] = lp_norm(chi_af, r_eff) / (lp_norm(h, q) * lp_norm(w, q) * lp_norm(f, r_eff))
+            values[pi, li] = chi_norms[r_eff] / (h_norms[q] * w_norms[q] * f_norms[r_eff])
     verdicts = []
     for pi, (q, r) in enumerate(pts):
         fits = {"sharpness_ratio": fit_scaling(zip(lams, values[pi]))}
@@ -462,6 +468,8 @@ def schur_consistency_suite(
     phi = standard_window(grid)
     probes = [phi, translate(phi, 1.0), modulate(phi, 1.0)]
     probes += [random_tf_localized(grid, min(4.0, grid.m / 4.0), rng) for _ in range(8)]
+    # the probes and their norms are the same in every case
+    denoms = [[amalgam_norm(probe, rr, ss) for rr, ss in _SUITE_EXPONENT_PAIRS] for probe in probes]
     results = []
     for name, a, w1, w2 in cases if cases is not None else _suite_cases(grid):
         K = build_kernel(a, w1, w2)
@@ -470,10 +478,9 @@ def schur_consistency_suite(
         bound = math.sqrt(rep.c_sup_y * rep.c_sup_x)
         budget = max(rep.c_sup_y, rep.c_sup_x, rep.amalgam_a, rep.amalgam_b)
         worst = 0.0
-        for probe in probes:
+        for probe, probe_denoms in zip(probes, denoms):
             out = kernel_action(K, probe)
-            for rr, ss in _SUITE_EXPONENT_PAIRS:
-                denom = amalgam_norm(probe, rr, ss)
+            for (rr, ss), denom in zip(_SUITE_EXPONENT_PAIRS, probe_denoms):
                 if denom > 0:
                     worst = max(worst, amalgam_norm(out, rr, ss) / denom)
         checks = (

@@ -108,13 +108,6 @@ SYMBOL_EVALUATORS = {
 }
 
 
-#: samples of h(x) freq(w) a worker forms at once when it weights its slab of
-#: an STFT by them (``locop._WeightedStft``): blocks of rows, not single rows,
-#: so each pair of ufunc calls has work enough that the threads do not queue
-#: for the interpreter lock between them
-_PRODUCT_ELEMENTS = 1 << 14
-
-
 class _SeparableSymbol(_LazySymbol):
     """The phase-space symbol h(x) freq(w), kept as its two factors.
 

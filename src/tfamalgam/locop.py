@@ -28,7 +28,6 @@ from .grid import (
     as_exponent,
     make_signal,
 )
-from . import families
 from .norms import lp_norm
 from .transforms import (
     _LazySymbol,
@@ -41,6 +40,12 @@ from .transforms import (
     stft,
     synthesis,
 )
+
+#: samples of a lazy symbol a worker forms at once when it weights its slab of
+#: an STFT by them (``_WeightedStft``): blocks of rows, not single rows, so
+#: each pair of ufunc calls has work enough that the threads do not queue for
+#: the interpreter lock between them
+_PRODUCT_ELEMENTS = 1 << 14
 
 # power iteration: relative change of the estimate that ends it, and its iteration cap
 _POWER_TOL = 1e-8
@@ -63,7 +68,7 @@ class _WeightedStft(_LazySymbol):
     rows are those of a * v.  The product keeps the operand order of
     ``a * v`` (``v *= a`` rounds differently in the complex product).  An
     ``a`` whose rows are formed (``_forms_rows``) forms
-    ``families._PRODUCT_ELEMENTS`` samples at a time.
+    ``_PRODUCT_ELEMENTS`` samples at a time.
     """
 
     a: SampledSymbol
@@ -74,7 +79,7 @@ class _WeightedStft(_LazySymbol):
         if not _forms_rows(self.a):
             np.multiply(self.a.samples[rows], out, out=out)
             return
-        step = max(1, families._PRODUCT_ELEMENTS // out.shape[1])
+        step = max(1, _PRODUCT_ELEMENTS // out.shape[1])
         product = np.empty_like(out[:step])
         for lo in range(0, len(out), step):
             hi = min(lo + step, len(out))

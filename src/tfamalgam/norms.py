@@ -263,31 +263,22 @@ def _cubes(f, shape=None):
     return _FormedCubes(f, shape) if _forms_rows(f) else f.samples.reshape(shape)
 
 
-def _frozen(a: np.ndarray) -> bool:
-    """Whether no writable array or buffer shares memory with ``a``."""
-    while isinstance(a, np.ndarray) and not a.flags.writeable:
-        if a.base is None:
-            return True
-        a = a.base
-    return False
-
-
 def _fill_cube_tables(f, exponents) -> list[np.ndarray]:
     """Unweighted local L^p norm (sum |f|^p)^(1/p) of each unit cube, for each p; max |f| for p = inf.
 
-    The exponents not yet in the memo share one blocked pass (``_roots``); only
-    one whose sums leave the float range takes two more passes to rescale.  A
-    symbol whose rows are formed (``_cubes``) stays unformed.  The tables are
-    memoised per exponent on the instance, read-only, when no writable array
-    shares the samples' memory: every ``make_signal`` or ``make_symbol`` result
-    made from a fresh array, and every lazy symbol until a caller makes its
-    formed samples writable.  So norms that share a local exponent share the
-    pass, a caller that knows every exponent it will ask for can fill their
-    tables in one pass, and a memo hit forms no sample.
+    The distinct exponents share one blocked pass (``_roots``); only one whose
+    sums leave the float range takes two more passes to rescale.  A symbol
+    whose rows are formed (``_cubes``) stays unformed and keeps its tables,
+    read-only, per exponent on the instance: its rows are streamed from the
+    library's own copies of its inputs, so nothing can change them.  Norms
+    that share its local exponent then share the pass, a caller that knows
+    every exponent it will ask for fills their tables in one pass, and a
+    later norm of it forms no sample.  Every other signal or symbol, a lazy
+    one whose samples have been read included, is reduced afresh on every
+    call: no table of it is kept or read.
     """
     tiles = _cubes(f)
-    # unformed lazy samples will be a fresh read-only array: nothing can write them
-    memo = f.__dict__.setdefault("_cube_tables", {}) if isinstance(tiles, _FormedCubes) or _frozen(f.samples) else {}
+    memo = f.__dict__.setdefault("_cube_tables", {}) if isinstance(tiles, _FormedCubes) else {}
     missing = list({p.value: p for p in exponents if p.value not in memo}.values())
     if missing:
         for p, table in zip(missing, _roots(tiles, missing)):

@@ -341,6 +341,25 @@ def test_lr_bounds_probe_validation(grid128, unit_window, gauss_symbol):
         opnorm_lr_bounds(K, 2, [zero])
 
 
+@pytest.mark.parametrize("past", [False, True], ids=["at", "past"])
+def test_lr_bounds_accept_a_probe_ratio_at_the_tolerance_and_refuse_one_past_it(
+    monkeypatch, unit_window, gauss_symbol, past
+):
+    K = build_kernel(gauss_symbol, unit_window, unit_window)
+    # unit Schur quantities make the upper bound exactly 1, and the probe has
+    # norm 1, so the ratio is the norm of its image: at or just past 1 + 1e-9
+    rep = dataclasses.replace(schur_report(K), c_sup_x=1.0, c_sup_y=1.0)
+    at = 1.0 * (1.0 + 1e-9)
+    ratio = np.nextafter(at, 2.0) if past else at
+    monkeypatch.setattr(locop, "schur_report", lambda _: rep)
+    monkeypatch.setattr(locop, "lp_norm", lambda f, r: 1.0 if f is unit_window else ratio)
+    if past:
+        with pytest.raises(RuntimeError, match="exceeds the Schur upper bound"):
+            opnorm_lr_bounds(K, 2, [unit_window])
+    else:
+        assert opnorm_lr_bounds(K, 2, [unit_window]) == locop.LrBounds(at, 1.0, 0)
+
+
 @pytest.mark.parametrize("grid", [make_grid(8, 16), make_grid(16, 16)], ids=["N128", "N256"])
 def test_opnorm_matches_dense_spectral_norm_on_schur_suite(grid):
     for name, a, w1, w2 in _suite_cases(grid):

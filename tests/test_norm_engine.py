@@ -119,12 +119,14 @@ def test_repeated_calls_match_a_fresh_instance(multi_block):
         assert lp_norm(v, q) == lp_norm(make_symbol(v.x_grid, v.w_grid, v.samples.copy()), q)
 
 
-def test_stft_tables_are_memoised_read_only(multi_block):
-    _, v, _ = multi_block
+def test_stft_tables_are_memoised_read_only():
+    # a fresh STFT: the earlier tests read the samples of the module's one
+    _, v, _ = _multi_block_inputs()
     for p in LATTICE:
         table = _cube_table(v, as_exponent(p))
         assert _cube_table(v, as_exponent(p)) is table
         assert not table.flags.writeable
+    assert not v.formed
 
 
 def test_symbol_on_a_view_of_a_writable_buffer_is_never_memoised():
@@ -154,6 +156,25 @@ def test_writable_samples_are_never_memoised():
         np.testing.assert_allclose(after, 3.0 * np.asarray(before), rtol=1e-13)
         arr /= 3.0
         sym_arr /= 3.0
+
+
+def test_norms_see_a_change_through_a_view_taken_before_the_samples_were_frozen():
+    # make_signal and make_symbol freeze the buffer itself, but not a view of it
+    # taken earlier: a norm must read the samples as they are now
+    grid = make_grid(8, 16)
+    buf = np.array(sample(gaussian_family(2.0), grid).samples)
+    sym_buf = np.outer(buf, buf[::-1])
+    view, sym_view = buf[:], sym_buf[:]
+    f, a = make_signal(grid, buf), make_symbol(grid, grid.dual, sym_buf)
+    assert f.samples.base is None and not buf.flags.writeable and view.flags.writeable
+    for p, q in PAIRS:
+        before = (lp_norm(f, p), amalgam_norm(f, p, q), lp_norm(a, p), amalgam_norm(a, p, q))
+        view *= 3.0
+        sym_view *= 3.0
+        after = (lp_norm(f, p), amalgam_norm(f, p, q), lp_norm(a, p), amalgam_norm(a, p, q))
+        np.testing.assert_allclose(after, 3.0 * np.asarray(before), rtol=1e-13)
+        view /= 3.0
+        sym_view /= 3.0
 
 
 _SMALL = make_grid(8, 16)

@@ -1,4 +1,4 @@
-"""Every norm reduces through the cube table: mixed, Triebel and symbol-mixed norms, and signal memos."""
+"""Every norm reduces through the cube table: mixed, Triebel and symbol-mixed norms, and which inputs keep tables."""
 
 import itertools
 
@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from tfamalgam import (
+    NormSpec,
     amalgam_norm,
+    evaluate_norm,
     fourier,
     inverse_fourier,
     lp_norm,
@@ -21,9 +23,9 @@ from tfamalgam import (
     stft,
     symbol_mixed_norm,
 )
-from tfamalgam.families import bump, chirp_family, chirped_gaussian
+from tfamalgam.families import bump, chirp_family, chirped_gaussian, sharpness_symbol
 from tfamalgam.grid import as_exponent
-from tfamalgam.norms import _BLOCK, _cube_table, partition_window
+from tfamalgam.norms import _BLOCK, NORM_ARITY, _cube_table, partition_window
 from tfamalgam.transforms import idft_centered
 
 LATTICE = ("1", "4/3", "2", "4", "inf")
@@ -117,23 +119,39 @@ def test_symbol_mixed_norm_matches_single_pass_reference(large_symbols):
                 assert symbol_mixed_norm(a, p1, q1, p2, q2) == pytest.approx(want, rel=1e-12)
 
 
-@pytest.mark.parametrize("p", LATTICE)
-def test_frozen_signal_tables_are_memoised_read_only(p):
-    f = sample(chirped_gaussian(2.0, 1.0), make_grid(8, 16))
-    p = as_exponent(p)
-    table = _cube_table(f, p)
-    assert _cube_table(f, p) is table
-    assert not table.flags.writeable
-    assert table.shape == (f.grid.L, 1)
+_SIGNAL_ONLY = ("flp", "modulation_stft", "modulation_triebel")
+_SYMBOL_ONLY = ("mixed_lpq", "mixed_lplq", "symbol_mixed")
 
 
-def test_lp_and_amalgam_norm_of_a_signal_read_the_same_table():
+@pytest.mark.parametrize("kind", sorted(NORM_ARITY))
+def test_only_a_streamed_symbol_keeps_cube_tables(kind):
+    grid = make_grid(8, 16)
+    f = sample(chirped_gaussian(2.0, 1.0), grid)
+    read = [stft(f, standard_window(grid)), sharpness_symbol(bump(0.0, 1.0), 4.0, grid)]
+    for a in read:
+        a.samples  # read before any norm: the rows are read, not streamed
+    signals = [f, make_signal(grid, np.array(f.samples))]
+    symbols = [phase_space_symbol(grid, lambda x, w: np.exp(-np.pi * (x**2 + w**2))), *read]
+    spec = NormSpec(kind, ("4/3", "inf", "2", "1")[: NORM_ARITY[kind]])
+    for g in ([] if kind in _SYMBOL_ONLY else signals) + ([] if kind in _SIGNAL_ONLY else symbols):
+        evaluate_norm(spec, g)
+        assert "_cube_tables" not in g.__dict__
+    if kind in ("lp", "amalgam"):
+        v = stft(f, standard_window(grid))
+        evaluate_norm(spec, v)
+        assert list(v.__dict__["_cube_tables"]) == [as_exponent("4/3").value]
+        assert not v.formed
+
+
+def test_lp_and_amalgam_norm_of_a_streamed_symbol_read_the_same_table():
     f = sample(chirped_gaussian(2.0, 1.0), make_grid(8, 16))
+    v = stft(f, standard_window(f.grid))
     p = as_exponent("4/3")
-    amalgam = amalgam_norm(f, p, "4")
-    lp = lp_norm(f, p)
-    assert list(f.__dict__["_cube_tables"]) == [p.value]
-    # a planted table shows that both norms read it rather than the samples
-    f.__dict__["_cube_tables"][p.value] = 2.0 * _cube_table(f, p)
-    assert amalgam_norm(f, p, "4") == pytest.approx(2.0 * amalgam, rel=1e-14)
-    assert lp_norm(f, p) == pytest.approx(2.0 * lp, rel=1e-14)
+    amalgam = amalgam_norm(v, p, "4")
+    lp = lp_norm(v, p)
+    assert list(v.__dict__["_cube_tables"]) == [p.value]
+    # a planted table shows that both norms read it rather than the rows
+    v.__dict__["_cube_tables"][p.value] = 2.0 * _cube_table(v, p)
+    assert amalgam_norm(v, p, "4") == pytest.approx(2.0 * amalgam, rel=1e-14)
+    assert lp_norm(v, p) == pytest.approx(2.0 * lp, rel=1e-14)
+    assert not v.formed

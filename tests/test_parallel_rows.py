@@ -39,7 +39,7 @@ def small_bands(monkeypatch):
     ends in a partial block."""
     monkeypatch.setattr(transforms, "_TASK_ELEMENTS", 1 << 9)
     monkeypatch.setattr(norms, "_BLOCK", 1 << 10)
-    monkeypatch.setattr(families, "_PRODUCT_ELEMENTS", 3 << 7)
+    monkeypatch.setattr(locop, "_PRODUCT_ELEMENTS", 3 << 7)
 
     def use(workers):
         monkeypatch.setattr(transforms, "_workers", lambda: workers)

@@ -13,6 +13,7 @@ from tfamalgam import (
     sample,
     stft,
     synthesis,
+    transforms,
     window_domination_check,
 )
 from tfamalgam.families import bump, chirp_family, gaussian_family
@@ -252,6 +253,18 @@ def test_domination_near_orthogonal(grid16, phi):
     odd = make_signal(grid16, grid16.points * np.exp(-np.pi * grid16.points**2))
     with pytest.raises(ValueError):
         window_domination_check(phi, phi, phi, odd)
+
+
+@pytest.mark.parametrize("past", [False, True], ids=["at", "past"])
+def test_domination_refuses_a_pairing_at_its_threshold_and_accepts_one_past_it(monkeypatch, grid16, phi, past):
+    pairing = np.nextafter(1e-8, 1.0) if past else 1e-8
+    monkeypatch.setattr(transforms, "inner_product", lambda gamma, g: pairing)
+    f = sample(gaussian_family(2.0), grid16)
+    if past:
+        assert np.isfinite(window_domination_check(f, phi, phi, phi))
+    else:
+        with pytest.raises(ValueError, match="near-orthogonal"):
+            window_domination_check(f, phi, phi, phi)
 
 
 def test_stft_and_synthesis_match_literal_gather_over_chunks():
