@@ -18,6 +18,11 @@ BLAS threads pinned to 1.  A record holds:
 - the ``build_kernel`` entries of the 4 cases of the Schur suite on the
   8 x 16 grid (``experiments._suite_cases``), which the verify battery
   builds;
+- the samples of ``gaussian_stft_symbol`` and of the three
+  ``SYMBOL_EVALUATORS`` symbols through ``phase_space_symbol`` at
+  N = 1024, and ``symbol_mixed_norm`` at two exponent tuples of each of
+  them, of a 1e140-scaled copy of the first, of a sharpness symbol and of
+  an unformed STFT;
 - the exit code and stdout of ``verify``, ``scan-stft``, ``scan-locop`` and
   ``scan-locop-lq``, each run as ``python -m tfamalgam COMMAND --out DIR``
   in its own process, and every artefact in DIR, with DIR replaced by
@@ -98,6 +103,42 @@ def tables_and_operators() -> dict:
     return out
 
 
+def symbols_and_mixed_norms() -> dict:
+    """The N = 1024 phase-space symbols' samples and their ``symbol_mixed_norm`` values, by entry name."""
+    from tfamalgam import (
+        gaussian_family,
+        gaussian_stft_symbol,
+        make_grid,
+        make_symbol,
+        phase_space_symbol,
+        sample,
+        sharpness_symbol,
+        standard_window,
+        stft,
+        symbol_mixed_norm,
+    )
+    from tfamalgam.families import SYMBOL_EVALUATORS, UNIT_BUMP
+
+    out = {}
+    grid = make_grid(16, 64)
+    symbols = {"gaussian_stft_symbol lam=2": gaussian_stft_symbol(2.0, grid)}
+    for name, evaluator in SYMBOL_EVALUATORS.items():
+        symbols[f"phase_space_symbol {name}"] = phase_space_symbol(grid, evaluator)
+    for name, a in symbols.items():
+        out[f"{name} N=1024"] = a.samples
+    first = symbols["gaussian_stft_symbol lam=2"]
+    symbols["1e140 * gaussian_stft_symbol lam=2"] = make_symbol(grid, grid.dual, 1e140 * first.samples)
+    for exponents in (("2", "1", "4", "4/3"), ("inf", "4/3", "1", "inf")):
+        fresh = {
+            "sharpness_symbol lam=8": sharpness_symbol(UNIT_BUMP, 8.0, grid),
+            "unformed stft": stft(sample(gaussian_family(2.0), grid), standard_window(grid)),
+        }
+        for name, a in {**symbols, **fresh}.items():
+            value = symbol_mixed_norm(a, *exponents)
+            out[f"symbol_mixed_norm {name} N=1024 ({', '.join(exponents)})"] = np.array(value)
+    return out
+
+
 def cli_outputs(work: Path) -> dict:
     """Exit code and stdout of each command, then each of its artefacts, with its ``--out`` path as ``<out>``."""
     out = {}
@@ -120,7 +161,7 @@ def record(directory: Path) -> None:
     src = Path(tfamalgam.__file__).resolve().parent
     if src != (Path.cwd() / "src" / "tfamalgam").resolve():
         raise RuntimeError(f"imported tfamalgam from {src}, not from {Path.cwd()}")
-    arrays = tables_and_operators()
+    arrays = {**tables_and_operators(), **symbols_and_mixed_norms()}
     texts = cli_outputs(directory / "cli")
     np.savez(directory / "arrays.npz", *arrays.values())
     (directory / "entries.json").write_text(json.dumps({"arrays": list(arrays), "texts": texts}))

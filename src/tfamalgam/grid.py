@@ -304,9 +304,27 @@ def make_symbol(x_grid: Grid1D, w_grid: Grid1D, samples) -> SampledSymbol:
     return SampledSymbol(x_grid, w_grid, arr)
 
 
+#: lattice points per call of a symbol's evaluator: whole rows, so its temporaries stay in cache
+_SYMBOL_BLOCK = 1 << 14
+
+
 def phase_space_symbol(grid: Grid1D, evaluator) -> SampledSymbol:
-    """Sample a function a(x, w) on the full phase-space lattice of ``grid``."""
+    """Sample a function a(x, w) on the full phase-space lattice of ``grid``.
+
+    ``evaluator`` must be pointwise: it is called on one block of rows after
+    another, ``x[rows, None]`` against ``w[None, :]``, and its value must
+    have the block's full shape.  Each block is written into the one output
+    array, so no temporary is the size of the symbol.
+    """
     dual = grid.dual
-    x = grid.points[:, None]
-    w = dual.points[None, :]
-    return make_symbol(grid, dual, np.asarray(evaluator(x, w), dtype=np.complex128))
+    x, w = grid.points[:, None], dual.points[None, :]
+    out = np.empty((grid.N, dual.N), dtype=np.complex128)
+    step = max(1, _SYMBOL_BLOCK // dual.N)
+    for lo in range(0, grid.N, step):
+        block = out[lo : lo + step]
+        value = np.asarray(evaluator(x[lo : lo + step], w))
+        if value.shape != block.shape:
+            raise ValueError(f"symbol evaluator gave shape {value.shape} on a block of shape {block.shape}")
+        block[...] = value
+    out.flags.writeable = False
+    return SampledSymbol(grid, dual, out)

@@ -23,7 +23,10 @@ from .grid import (
     make_signal,
 )
 from .families import UNIT_BUMP
-from .transforms import _LazySymbol, _each_slab, _forms_rows, fourier, idft_centered, inverse_fourier, stft
+from .transforms import (
+    _LazySymbol, _alternating, _each_slab, _forms_rows, _idft_scale, _row_runs,
+    fourier, idft_centered, inverse_fourier, stft,
+)
 
 #: norm kind -> the norm of f at the kind's exponents; each entry looks its
 #: function up when called, so a wrapper installed on the module later is used
@@ -228,11 +231,13 @@ def _sequence_norm(values: np.ndarray, q: ExtendedExponent) -> float:
     return float(_root(values.reshape(1, 1, 1, -1), q)[0, 0])
 
 
-def _row_amalgam(rows: np.ndarray, grid: Grid1D, p: ExtendedExponent, q: ExtendedExponent):
-    """W(L^p, L^q) norm on ``grid`` of each row of a 2-D array: one row of cubes per row."""
-    n = rows.shape[0]
-    local = _root(rows.reshape(n, 1, grid.L, grid.m), p)
-    return grid.h**p.reciprocal * _root(local.reshape(n, 1, 1, grid.L), q)[:, 0]
+def _row_amalgam(tiles, grid: Grid1D, p: ExtendedExponent, q: ExtendedExponent):
+    """W(L^p, L^q) norm on ``grid`` of each row of a cube view (rows, 1, grid.L, grid.m): one row of cubes per row.
+
+    ``tiles`` is an array or ``_FormedCubes``, as ``_tile_reduce`` takes.
+    """
+    local = _root(tiles, p)
+    return grid.h**p.reciprocal * _root(local.reshape(len(local), 1, 1, grid.L), q)[:, 0]
 
 
 def _cube_shape(a: SampledSymbol) -> tuple[int, int, int, int]:
@@ -388,14 +393,48 @@ def modulation_norm_triebel(f: SampledSignal, p, q) -> float:
     return f.grid.h**p.reciprocal * _sequence_norm(local, q)
 
 
+class _InverseRows(_LazySymbol):
+    """``idft_centered(source.samples, source.w_grid.m)`` on (x_grid, dual of w_grid), its rows formed on demand.
+
+    A row is the row of ``source``, formed or read by ``_forms_rows``, times
+    ``pre``, the sign (-1)^k, then transformed in place and multiplied by
+    ``post``, that sign times the scale: the passes of ``idft_centered``, in
+    its order.  A lazy source whose rows carry that sign (its ``sign``, as an
+    STFT's do) forms them unsigned and skips both sign passes, which is
+    exact, as in ``synthesis``.  ``rows`` are ``_row_runs(source)``: the
+    transform of a zero row is zero.
+    """
+
+    source: SampledSymbol
+    pre: np.ndarray
+    post: np.ndarray
+
+    def _fill_rows(self, rows: slice, out: np.ndarray) -> None:
+        a = self.source
+        if not _forms_rows(a):
+            np.multiply(a.samples[rows], self.pre, out=out)
+        else:
+            a._form_unsigned(rows, out)
+            if a.sign is None:
+                out *= self.pre
+        np.fft.ifft(out, axis=-1, out=out)
+        out *= self.post
+
+
 def symbol_mixed_norm(a: SampledSymbol, p1, q1, p2, q2) -> float:
     """Amalgam-of-Fourier-image mixed norm of a phase-space symbol.
 
     For each time slice, take the W(L^{p2}, L^{q2}) norm of the inverse
     transform (in frequency) of a(x, .); then take the W(L^{p1}, L^{q1}) norm
-    of the resulting profile in x.
+    of the resulting profile in x.  The transforms are formed a block of
+    rows at a time inside the reduction (``_InverseRows``), so no
+    transformed copy of ``a`` is held and a lazy ``a`` is never formed.
     """
     p1, q1, p2, q2 = (as_exponent(e) for e in (p1, q1, p2, q2))
-    rows_time = idft_centered(a.samples, a.w_grid.m)  # rows now live on dual(w_grid)
-    profile = _row_amalgam(rows_time, a.w_grid.dual, p2, q2)
-    return float(_row_amalgam(profile[None, :], a.x_grid, p1, q1)[0])
+    n, time = a.w_grid.N, a.w_grid.dual  # the transformed rows live on dual(w_grid)
+    s = _alternating(n)
+    rows_time = _InverseRows._of(
+        a.x_grid, time, rows=_row_runs(a), source=a, pre=s, post=s * _idft_scale(n, a.w_grid.m)
+    )
+    profile = _row_amalgam(_cubes(rows_time, (a.x_grid.N, 1, time.L, time.m)), time, p2, q2)
+    return float(_row_amalgam(profile.reshape(1, 1, a.x_grid.L, a.x_grid.m), a.x_grid, p1, q1)[0])

@@ -126,10 +126,14 @@ def dft_centered(values: np.ndarray, density: int) -> np.ndarray:
     return _centered_fft(values, _center_sign(n) / density, np.fft.fft)
 
 
+def _idft_scale(n: int, density: int) -> float:
+    """The scale of ``idft_centered`` over ``n`` samples: the centering sign times n / density."""
+    return _center_sign(n) * n / density
+
+
 def idft_centered(values: np.ndarray, density: int) -> np.ndarray:
     """Inverse of dft_centered: weight 1/density sum with e^{+2 pi i w t}."""
-    n = values.shape[-1]
-    return _centered_fft(values, _center_sign(n) * n / density, np.fft.ifft)
+    return _centered_fft(values, _idft_scale(values.shape[-1], density), np.fft.ifft)
 
 
 def fourier(f: SampledSignal) -> SampledSignal:
@@ -402,7 +406,7 @@ def synthesis(F: SampledSymbol, g: SampledSignal) -> SampledSignal:
         _each_slab(transform, slabs, (max((rows.stop - rows.start for rows in slabs), default=0), n))
     out = sums.sum(axis=0)
     # the post-sign and the scale are the same for every row: apply them to the sum
-    out *= s * (_center_sign(n) * n / F.w_grid.m * F.x_grid.h)
+    out *= s * (_idft_scale(n, F.w_grid.m) * F.x_grid.h)
     return make_signal(grid, out)
 
 
