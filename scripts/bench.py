@@ -12,8 +12,10 @@ End to end: ``perfbench/run.py --trace 0`` runs once per workload of
 kept, with their median over the seeds.  The Tier-1 suite is timed too.
 
 Layers: calls of ``sample``, ``dft_centered``, ``stft``,
-``synthesis``, ``apply_locop``, ``amalgam_norm``, ``lp_norm`` and
-``modulation_norm_triebel`` at N = 2048 and 4096, and of ``build_kernel``
+``synthesis``, ``apply_locop``, ``amalgam_norm``, ``lp_norm``,
+``modulation_norm_triebel`` and ``mixed_lpq`` of an unformed STFT, whose
+rows the reduction forms (one row of cubes, so its blocks are the tasks),
+at N = 2048 and 4096, and of ``build_kernel``
 and ``opnorm_l2`` at N = 512 and 1024 (a dense kernel is N^2 and
 ``opnorm_l2`` is O(N^3), so N = 4096 would need over a gigabyte).  At
 N = 2048, ``sharpness_symbol`` and ``apply_locop`` are also timed as the
@@ -192,6 +194,24 @@ def layer_timings(sizes=LAYER_SIZES, kernel_sizes=KERNEL_SIZES, repeats: int = R
             _time_each(layers, repeats, None if peaks is None else peaks.setdefault(key, {}))
         )
         del entries
+    return out
+
+
+def mixed_lpq_timings(sizes=LAYER_SIZES, repeats: int = REPEATS, peaks=None) -> dict:
+    """Seconds of ``mixed_lpq`` of an unformed STFT on the grids of ``layer_timings``, keyed by ``N=<size>``.
+
+    A ``peaks`` dict receives the tracemalloc peaks (MiB) under the same keys.
+    """
+    from tfamalgam import chirped_gaussian, make_grid, mixed_lpq, sample, standard_window, stft
+
+    out = {}
+    for n in sizes:
+        grid = make_grid(8, n // 8)
+        window = standard_window(grid)
+        f = sample(chirped_gaussian(2.0, 3.0), grid)
+        layers = {"mixed_lpq": (lambda v: mixed_lpq(v, "4/3", 2), lambda: stft(f, window))}
+        key = f"N={n}"
+        out[key] = _time_each(layers, repeats, None if peaks is None else peaks.setdefault(key, {}))
     return out
 
 
@@ -408,6 +428,8 @@ def main(argv=None) -> int:
     peaks: dict = {}
     timings = layer_timings(peaks=peaks)
     timings[f"N={LOCOP_SIZE}"].update(region_locop_timings(peaks=peaks[f"N={LOCOP_SIZE}"]))
+    for size, layers in mixed_lpq_timings(peaks=peaks).items():
+        timings.setdefault(size, {}).update(layers)
     for size, layers in stft_table_timings(peaks=peaks).items():
         timings[size].update(layers)
     for size, layers in point_query_timings(peaks=peaks).items():

@@ -23,6 +23,12 @@ BLAS threads pinned to 1.  A record holds:
   N = 1024, and ``symbol_mixed_norm`` at two exponent tuples of each of
   them, of a 1e140-scaled copy of the first, of a sharpness symbol and of
   an unformed STFT;
+- the pooled reductions of an unformed STFT, whose rows they form: its
+  ``mixed_lpq`` and the ``modulation_norm`` of its signal at N = 1024 and
+  4096, where the cube view is one row of cubes, and the ``modulation_norm``
+  of a 1e150-scaled copy of that signal, whose sums of 4th powers overflow
+  and are taken again on rescaled values; and its ``synthesis`` at N = 512,
+  one slab, and at N = 4096, 64 slabs;
 - the exit code and stdout of ``verify``, ``scan-stft``, ``scan-locop`` and
   ``scan-locop-lq``, each run as ``python -m tfamalgam COMMAND --out DIR``
   in its own process, and every artefact in DIR, with DIR replaced by
@@ -139,6 +145,31 @@ def symbols_and_mixed_norms() -> dict:
     return out
 
 
+def pooled_reductions() -> dict:
+    """``mixed_lpq``, ``modulation_norm`` and ``synthesis`` of unformed STFTs, by entry name."""
+    from tfamalgam import (
+        gaussian_family, make_grid, make_signal, mixed_lpq, modulation_norm, sample, standard_window, stft, synthesis,
+    )
+
+    def probe(n):
+        grid = make_grid(16, n // 16)
+        return grid, sample(gaussian_family(2.0), grid), standard_window(grid)
+
+    out = {}
+    for n in (1024, 4096):
+        grid, f, window = probe(n)
+        for p, q in (("4/3", "2"), ("inf", "1")):
+            out[f"mixed_lpq unformed stft N={n} ({p}, {q})"] = np.array(mixed_lpq(stft(f, window), p, q))
+        for p, q in (("2", "1"), ("1", "inf")):
+            out[f"modulation_norm N={n} ({p}, {q})"] = np.array(modulation_norm(f, p, q))
+        scaled = make_signal(grid, 1e150 * f.samples)
+        out[f"modulation_norm 1e150-scaled N={n} (4, 2)"] = np.array(modulation_norm(scaled, 4, 2))
+    for n in (512, 4096):
+        _, f, window = probe(n)
+        out[f"synthesis unformed stft N={n}"] = synthesis(stft(f, window), window).samples
+    return out
+
+
 def cli_outputs(work: Path) -> dict:
     """Exit code and stdout of each command, then each of its artefacts, with its ``--out`` path as ``<out>``."""
     out = {}
@@ -161,7 +192,7 @@ def record(directory: Path) -> None:
     src = Path(tfamalgam.__file__).resolve().parent
     if src != (Path.cwd() / "src" / "tfamalgam").resolve():
         raise RuntimeError(f"imported tfamalgam from {src}, not from {Path.cwd()}")
-    arrays = {**tables_and_operators(), **symbols_and_mixed_norms()}
+    arrays = {**tables_and_operators(), **symbols_and_mixed_norms(), **pooled_reductions()}
     texts = cli_outputs(directory / "cli")
     np.savez(directory / "arrays.npz", *arrays.values())
     (directory / "entries.json").write_text(json.dumps({"arrays": list(arrays), "texts": texts}))

@@ -120,12 +120,10 @@ def _tile_reduce(tiles, exponents, scale=None) -> list[np.ndarray]:
     first.  An array of at most ``_BLOCK`` elements is reduced in one go; a
     larger view in blocks of at most ``_BLOCK`` elements that never straddle
     a row of cubes (whole rows of cubes when they fit, else runs of rows
-    within one), so the temporaries stay in cache.  The bands of rows of
-    cubes are the tasks of ``_each_slab``, each adding the sums of its
-    blocks in order; a lone band is split instead, each block a task, and
-    the sums of its blocks are added in block order once all are done.  So
-    each cube is summed the same way whatever the CPU count and whether its
-    rows are formed or read.
+    within one), so the temporaries stay in cache.  Each block is a task of
+    ``_each_slab``, folded into the tables in block order: the first of a
+    band of rows of cubes sets it, later ones add to it.  So each cube is
+    summed the same way for any CPU count, whether its rows are formed or read.
     """
     lazy = isinstance(tiles, _FormedCubes)
     if not lazy and tiles.size <= _BLOCK:
@@ -134,45 +132,32 @@ def _tile_reduce(tiles, exponents, scale=None) -> list[np.ndarray]:
     row = n_cols * tile_cols
     band = max(1, _BLOCK // (tile_rows * row))  # rows of cubes per block
     step = min(tile_rows, max(1, _BLOCK // row))  # rows per block within a row of cubes
-    bands = [slice(i, min(i + band, n_rows)) for i in range(0, n_rows, band)]
-    steps = range(0, tile_rows, step)
-    # one band (one row of cubes, as in mixed_lpq): every block is a task, and
-    # its sums are kept apart and added in block order at the end; else every
-    # band is a task, which adds the sums of its blocks in order as it goes:
-    # the scans' tables are wide and have many blocks per band (8 x 512 cubes
-    # and 32 blocks at N = 4096), so kept-apart sums would add 1 MiB per exponent
-    split = len(bands) == 1
-    tasks = [(bands[0], range(r, r + 1)) for r in steps] if split else [(cubes, steps) for cubes in bands]
-    parts = [np.empty((len(steps) if split else 1, n_rows, n_cols)) for _ in exponents]
+    blocks = [(slice(i, min(i + band, n_rows)), r) for i in range(0, n_rows, band) for r in range(0, tile_rows, step)]
+    tables = [np.empty((n_rows, n_cols)) for _ in exponents]
 
-    def reduce_blocks(_, task: tuple, scratch: np.ndarray) -> None:
-        cubes, rs = task
-        for r in rs:
-            rows = min(step, tile_rows - r)
-            if lazy:
-                # a block is one run of sample rows: band > 1 only where step is tile_rows
-                formed = scratch[:2].reshape(-1).view(np.complex128)[: (cubes.stop - cubes.start) * rows * row]
-                formed = formed.reshape(-1, row)
-                start = cubes.start * tile_rows + r
-                tiles.symbol._form_unsigned(slice(start, start + len(formed)), formed)  # |-x| = |x|
-                view = formed.reshape(-1, rows, n_cols, tile_cols)
+    def reduce_block(block: tuple, scratch: np.ndarray) -> list[np.ndarray]:
+        cubes, r = block
+        rows = min(step, tile_rows - r)
+        if lazy:
+            # a block is one run of sample rows: band > 1 only where step is tile_rows
+            formed = scratch[:2].reshape(-1).view(np.complex128)[: (cubes.stop - cubes.start) * rows * row]
+            formed = formed.reshape(-1, row)
+            start = cubes.start * tile_rows + r
+            tiles.symbol._form_unsigned(slice(start, start + len(formed)), formed)  # |-x| = |x|
+            view = formed.reshape(-1, rows, n_cols, tile_cols)
+        else:
+            view = tiles[cubes, r : r + rows]
+        return _block_reduce(view, exponents, None if scale is None else scale[cubes], scratch)
+
+    def fold(i: int, sums: list[np.ndarray]) -> None:
+        cubes, r = blocks[i]
+        for p, table, block_sums in zip(exponents, tables, sums):
+            if r == 0:
+                table[cubes] = block_sums
             else:
-                view = tiles[cubes, r : r + rows]
-            sums = _block_reduce(view, exponents, None if scale is None else scale[cubes], scratch)
-            for p, part, block_sums in zip(exponents, parts, sums):
-                out = part[r // step if split else 0, cubes]
-                if r == rs.start:
-                    out[...] = block_sums
-                else:
-                    (np.maximum if p.is_inf else np.add)(out, block_sums, out=out)
+                (np.maximum if p.is_inf else np.add)(table[cubes], block_sums, out=table[cubes])
 
-    _each_slab(reduce_blocks, tasks, (4, min(band, n_rows) * step * row), float)
-    tables = []
-    for p, part in zip(exponents, parts):
-        table = part[0]
-        for later in part[1:]:
-            (np.maximum if p.is_inf else np.add)(table, later, out=table)
-        tables.append(table)
+    _each_slab(reduce_block, blocks, (4, min(band, n_rows) * step * row), fold, float)
     return tables
 
 

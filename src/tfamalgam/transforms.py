@@ -175,22 +175,37 @@ def _each_rows(fn, runs, width: int) -> None:
     _each(fn, _chunks(runs, _task_rows(4 * width)))
 
 
-def _each_slab(fn, slabs, shape, dtype=np.complex128) -> None:
-    """Call ``fn(i, slabs[i], buf)`` for every slab, the slabs dealt out to the workers in turn.
+def _each_slab(fn, slabs, shape, fold, dtype=np.complex128) -> None:
+    """Call ``fold(i, fn(slabs[i], buf))`` for each slab: ``fn`` on the workers, ``fold`` in slab order.
 
-    Worker ``w`` takes slabs ``w``, ``w + workers``, ... through ``_each``;
-    ``buf`` is its own buffer of ``shape``.  The buffers are made here, not
-    in the tasks, as memory a worker thread frees stays in its malloc arena;
-    and as one array: buffers freed one by one can leave the heap's free top
+    Each worker of ``_each`` takes the next slab from one shared counter,
+    works in ``buf``, its own buffer of ``shape``, which the result must not
+    share, and leaves the result.  Under the counter's lock, whichever worker
+    finds the next result in slab order folds it and each later one there.
+    So no task waits on another (callers on several threads share the pool,
+    and a task that waited for its turn could wait on one queued behind it),
+    and a result is held only while a slab before it is still running.  The
+    buffers are one array made here: memory a worker frees stays in its
+    malloc arena, and buffers freed one by one can leave the heap's free top
     above glibc's trim threshold, so that every call faults their pages in
     again (about 9000 minor faults per region-locop pass, against 5).
     """
     workers = min(len(slabs), _workers())
     bufs = np.empty((workers, *shape), dtype=dtype)
+    order, lock, done, turn = iter(range(len(slabs))), threading.Lock(), {}, 0  # done: results not yet folded
 
     def task(worker: int) -> None:
-        for i in range(worker, len(slabs), workers):
-            fn(i, slabs[i], bufs[worker])
+        nonlocal turn
+        with lock:
+            i = next(order, None)
+        while i is not None:
+            result = fn(slabs[i], bufs[worker])
+            with lock:
+                done[i] = result
+                while turn in done:
+                    fold(turn, done.pop(turn))
+                    turn += 1
+                i = next(order, None)
 
     _each(task, range(workers))
 
@@ -357,16 +372,16 @@ def synthesis(F: SampledSymbol, g: SampledSignal) -> SampledSignal:
     """Adjoint-side phase-space sum: out = sum_{j,k} F(x_j,w_k) M_{w_k} T_{x_j} g * cell.
 
     The quadrature cell is (x-step) * (frequency step); with F = stft(f, g)
-    this inverts the STFT up to the factor ||g||_2^2.  Only the
-    runs of ``_row_runs(F)`` are summed, in slabs of ``_task_rows(N)`` rows,
-    each in row order on a task of ``_each``, and the slab sums in slab
-    order, so the result does not depend on the CPU count.  Each worker forms
-    the rows of its slab in its own buffer, or reads them (``_forms_rows``).
-    A lone slab is formed in parts on the tasks of ``_each_rows``, into one
-    buffer, and then summed in row order as any slab is.  Each row is signed
-    by (-1)^k before its inverse FFT; a lazy F whose rows carry that sign
-    (its ``sign``, as an STFT's do) forms them unsigned and skips the
-    pre-sign, which is exact, as s * s = 1 and a * (-v) = -(a * v).
+    this inverts the STFT up to the factor ||g||_2^2.  Only the runs of
+    ``_row_runs(F)`` are summed, in slabs of ``_task_rows(N)`` rows, each in
+    row order on a task of ``_each_slab``, which folds the slab sums into the
+    output in slab order, so the result does not depend on the CPU count.
+    Each worker forms the rows of its slab in its own buffer, or reads them
+    (``_forms_rows``).  A lone slab is formed in parts on the tasks of
+    ``_each_rows``, into one buffer, and then summed in row order as any slab
+    is.  Each row is signed by (-1)^k before its inverse FFT; a lazy F whose
+    rows carry that sign (its ``sign``, as an STFT's do) forms them unsigned
+    and skips the pre-sign, which is exact, as s * s = 1 and a * (-v) = -(a * v).
     """
     grid = g.grid
     _check_lattice(F, grid)
@@ -375,7 +390,7 @@ def synthesis(F: SampledSymbol, g: SampledSignal) -> SampledSignal:
     slabs = list(_chunks(_row_runs(F), _task_rows(n)))
     windows = _translates(g.samples)[n + n // 2 : n // 2 : -1]
     s = _alternating(n)
-    sums = np.empty((len(slabs), n), dtype=np.complex128)
+    out = np.zeros(n, dtype=np.complex128)
 
     def profiles(rows: slice, slab: np.ndarray) -> None:
         """The rows ``rows`` signed, transformed and windowed, into ``slab``."""
@@ -396,15 +411,15 @@ def synthesis(F: SampledSymbol, g: SampledSignal) -> SampledSignal:
             profiles(r, slab[r.start - rows.start : r.stop - rows.start])
 
         _each_rows(part, ((rows.start, rows.stop),), n)
-        slab.sum(axis=0, out=sums[0])
+        slab.sum(axis=0, out=out)
     else:
-        def transform(i: int, rows: slice, buf: np.ndarray) -> None:
+        def transform(rows: slice, buf: np.ndarray) -> np.ndarray:
             slab = buf[: rows.stop - rows.start]
             profiles(rows, slab)
-            slab.sum(axis=0, out=sums[i])
+            return slab.sum(axis=0)
 
-        _each_slab(transform, slabs, (max((rows.stop - rows.start for rows in slabs), default=0), n))
-    out = sums.sum(axis=0)
+        shape = (max((rows.stop - rows.start for rows in slabs), default=0), n)
+        _each_slab(transform, slabs, shape, lambda _, total: np.add(out, total, out=out))
     # the post-sign and the scale are the same for every row: apply them to the sum
     out *= s * (_idft_scale(n, F.w_grid.m) * F.x_grid.h)
     return make_signal(grid, out)

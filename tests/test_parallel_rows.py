@@ -19,7 +19,7 @@ from tfamalgam import families, locop, norms, transforms
 from tfamalgam.families import bump, chirp_family, gaussian_family, sharpness_symbol
 from tfamalgam.grid import as_exponent, make_grid, make_signal, make_symbol, phase_space_symbol, sample
 from tfamalgam.locop import apply_locop
-from tfamalgam.norms import _cube_table, _fill_cube_tables, standard_window
+from tfamalgam.norms import _cube_table, _fill_cube_tables, amalgam_norm, mixed_lpq, standard_window
 from tfamalgam.transforms import _each, _nonzero_row_runs, _stft, dft_centered, idft_centered, stft, synthesis
 
 EXPONENTS = [as_exponent(p) for p in ("1", "4/3", "2", "4", "inf")]
@@ -179,6 +179,56 @@ def test_callers_on_many_threads_share_one_pool(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(caller.is_alive() for caller in callers)
     assert same == [True] * len(inputs)
+
+
+def _pooled_reductions(f, g):
+    """``mixed_lpq``, ``amalgam_norm`` and ``synthesis`` of fresh, unformed STFTs of ``f``: the folds of ``_each_slab``."""
+    return (
+        mixed_lpq(stft(f, g), "4/3", 2),
+        amalgam_norm(stft(f, g), 2, 1),
+        synthesis(stft(f, g), g).samples,
+    )
+
+
+@pytest.mark.parametrize("nested", [False, True], ids=["callers", "nested in workers"])
+def test_pooled_reductions_on_many_threads_fold_as_one_worker_does(monkeypatch, small_bands, nested):
+    # the set-up above: a fresh pool of four workers, a short switch interval,
+    # and six callers whose blocks (16 per table) and slabs (32) share it; or
+    # one caller whose six calls run on workers of the pool, and so inline.
+    # No fold may wait on a task queued behind it, and every fold is in order
+    monkeypatch.setattr(transforms, "_pool", None)
+    monkeypatch.setattr(transforms, "_pool_live", [])
+    small_bands(1)
+    window = standard_window(GRID)
+    signals = [make_signal(GRID, np.random.default_rng(k).standard_normal(GRID.N)) for k in range(6)]
+    want = [_pooled_reductions(f, window) for f in signals]
+    small_bands(4)
+    same = [None] * len(signals)
+    on_worker = [None] * len(signals)
+
+    def check(k):
+        on_worker[k] = getattr(transforms._in_pool, "worker", False)
+        same[k] = all(
+            all(np.array_equal(a, b) for a, b in zip(_pooled_reductions(signals[k], window), want[k]))
+            for _ in range(5)
+        )
+
+    if nested:
+        callers = [threading.Thread(target=_each, args=(check, range(len(signals))), daemon=True)]
+    else:
+        callers = [threading.Thread(target=check, args=(k,), daemon=True) for k in range(len(signals))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    assert same == [True] * len(signals)
+    assert on_worker == [nested] * len(signals)
 
 
 def test_a_forked_child_makes_its_own_pool(monkeypatch):
@@ -496,6 +546,37 @@ def test_synthesis_holds_no_block_of_the_symbol(monkeypatch):
         tracemalloc.stop()
     assert np.abs(out.samples).max() > 0.0
     assert peak < bound
+
+
+def _peak_after_warm_up(call) -> int:
+    """The tracemalloc peak of ``call()``, called once before, so the pool and the FFT plans are not counted."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_mixed_lpq_of_an_unformed_stft_peak_allocation_n8192(monkeypatch):
+    # one row of cubes in 1024 blocks of 8 rows: each block's column sums are
+    # folded into the table in turn, and two workers hold four rows of 2^16
+    # floats each, 4 MiB; the sums of every block kept to the end took 64 MiB
+    grid = make_grid(16, 512)
+    f, window = sample(gaussian_family(2.0), grid), standard_window(grid)
+    monkeypatch.setattr(transforms, "_workers", lambda: 2)
+    assert _peak_after_warm_up(lambda: mixed_lpq(stft(f, window), "4/3", 2)) <= 8 * 2**20
+
+
+def test_synthesis_of_an_unformed_stft_peak_allocation_n8192(monkeypatch):
+    # 256 slabs of 32 rows: each slab's sum is folded into the output row in
+    # turn, and two workers hold a slab of 4 MiB each; the 256 slab sums kept
+    # to the end took 32 MiB
+    grid = make_grid(16, 512)
+    f, window = sample(gaussian_family(2.0), grid), standard_window(grid)
+    monkeypatch.setattr(transforms, "_workers", lambda: 2)
+    assert _peak_after_warm_up(lambda: synthesis(stft(f, window), window)) <= 16 * 2**20
 
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -28,6 +28,15 @@ def test_bench_layer_timer_runs_at_a_tiny_size():
     assert all(0.0 < t < 60.0 for layer in timings.values() for t in layer.values())
 
 
+def test_bench_mixed_lpq_timer_times_an_unformed_stft_at_every_size():
+    bench = _load("bench")
+    peaks = {}
+    timings = bench.mixed_lpq_timings(sizes=(64, 128), repeats=2, peaks=peaks)
+    assert {k: set(v) for k, v in timings.items()} == {"N=64": {"mixed_lpq"}, "N=128": {"mixed_lpq"}}
+    assert {k: set(v) for k, v in peaks.items()} == {k: set(v) for k, v in timings.items()}
+    assert all(len(secs) == 2 and all(0.0 < s < 60.0 for s in secs) for layers in timings.values() for secs in layers.values())
+
+
 def test_bench_region_locop_timer_keeps_every_call_at_a_tiny_size():
     bench = _load("bench")
     timings = bench.region_locop_timings(n=64, repeats=2)
